@@ -1,9 +1,10 @@
 """tmkit: model machines as flows of things, carve events, and run them.
 
-The pipeline: write a model in the small text language (`parse`), check its
-structure (`check_model`), carve regions into timed events and connect them
-into a behavior graph (`build_from_document`), then execute the graph tick by
-tick (`run`) and export models and traces (`model_to_json`, `export_dot`,
+The pipeline: write a model in the small text language, then `load` it: it
+parses the text (`parse`), checks its structure (`check_model`), and carves
+regions into timed events connected by a behavior graph (`eventize`),
+reporting every fault as a spanned diagnostic. Execute the graph tick by tick
+(`run`) and export models and traces (`model_to_json`, `export_dot`,
 `trace_to_json`). Bundled example models live under `corpus_names()`.
 """
 from importlib import resources
@@ -37,6 +38,7 @@ from tmkit.events import (
     build_from_document,
     coverage,
     define_event,
+    eventize,
     overlap,
 )
 from tmkit.export import (
@@ -64,7 +66,6 @@ from tmkit.model import (
 from tmkit.sim import (
     EventInstance,
     FirstDeclared,
-    Phase,
     RaceReport,
     ScriptedExhaustedError,
     Scripted,
@@ -82,6 +83,16 @@ from tmkit.sim import (
 from tmkit.validate import DEFAULT_TABLE, FlowAdjacencyTable, check_model, check_region
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # `load` lives beside its views in tmkit.cli; importing that module lazily
+    # keeps `python -m tmkit.cli` from finding it already imported.
+    if name in ("Loaded", "load"):
+        from tmkit import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def corpus_names() -> tuple[str, ...]:
@@ -124,8 +135,8 @@ __all__ = [
     "MODEL_SCHEMA",
     "ModelDocument",
     "ModelError",
+    "Loaded",
     "ParseResult",
-    "Phase",
     "RaceReport",
     "Region",
     "RegionDecl",
@@ -152,11 +163,13 @@ __all__ = [
     "coverage",
     "define_event",
     "document_from_parts",
+    "eventize",
     "export_dot",
     "format_document",
     "has_errors",
     "import_json",
     "init",
+    "load",
     "model_digest",
     "model_to_json",
     "overlap",

@@ -7,6 +7,11 @@
                         [--horizon N] [--trace OUT.json]
     tmkit export FILE --format json|dot [-o OUT] [--regions] [--behavior]
 
+`parse` is the syntax and reference view. Every other command is a view over
+one `load` call (parse, the model rules, the region and behavior rules) and
+refuses a document with error diagnostics; each diagnostic carries the span
+of what it is about.
+
 Exit codes: 0 success, 1 failure (error diagnostics, unusable document, or a
 run that could not be carried out), 2 usage errors. Diagnostics go to stderr;
 requested artifacts go to stdout or to files, written atomically.
@@ -15,22 +20,43 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from tmkit import export as export_mod
 from tmkit.diagnostics import Diagnostic, has_errors
 from tmkit.dsl import ModelDocument, parse
-from tmkit.events import BehaviorError, EventError, build_from_document
+from tmkit.events import BehaviorGraph, CoverageReport, Event, eventize
 from tmkit.formatter import format_document
-from tmkit.sim import (
-    FirstDeclared,
-    ScriptedExhaustedError,
-    Scripted,
-    SeededRandom,
-    SimulationError,
-    run,
-)
+from tmkit.sim import FirstDeclared, Scripted, SeededRandom, SimulationError, run
 from tmkit.validate import check_model
+
+
+@dataclass(frozen=True, slots=True)
+class Loaded:
+    """What `load` made of a source, up to the first stage that reported errors."""
+
+    document: ModelDocument | None
+    events: dict[str, Event]
+    graph: BehaviorGraph | None
+    coverage: CoverageReport | None
+    diagnostics: list[Diagnostic]
+
+
+def load(text: str, source: str = "<input>") -> Loaded:
+    """Parse, check the model, and eventize; stop after the first stage that
+    reports errors. Never raises on any input."""
+    result = parse(text, source=source)
+    document = result.document
+    if document is None:
+        return Loaded(None, {}, None, None, result.diagnostics)
+    diagnostics = [
+        replace(d, span=document.spans.get(d.subject)) for d in check_model(document.model)
+    ]
+    if has_errors(diagnostics):
+        return Loaded(document, {}, None, None, diagnostics)
+    events, graph, report, found = eventize(document)
+    return Loaded(document, events, graph, report, diagnostics + found)
 
 
 def _emit(diagnostics: Sequence[Diagnostic]) -> None:
@@ -38,39 +64,33 @@ def _emit(diagnostics: Sequence[Diagnostic]) -> None:
         print(diag.render(), file=sys.stderr)
 
 
-def _load(path: str) -> str | None:
+def _read(path: str) -> str | None:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
 
 
-def _parse_file(path: str) -> tuple[ModelDocument | None, bool]:
-    """Returns (document, had_errors); prints all parse diagnostics."""
-    text = _load(path)
+def _load_file(path: str) -> Loaded | None:
+    """The loaded file with its diagnostics printed; None when it cannot be used."""
+    text = _read(path)
     if text is None:
-        return None, True
-    result = parse(text, source=path)
-    _emit(result.diagnostics)
-    return result.document, not result.ok
-
-
-def _checked_document(path: str, strict: bool = False) -> ModelDocument | None:
-    document, failed = _parse_file(path)
-    if failed or document is None:
         return None
-    diagnostics = check_model(document.model)
-    _emit(diagnostics)
-    if has_errors(diagnostics) or (strict and diagnostics):
-        return None
-    return document
+    loaded = load(text, source=path)
+    _emit(loaded.diagnostics)
+    return None if has_errors(loaded.diagnostics) else loaded
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    document, failed = _parse_file(args.file)
-    if failed or document is None:
+    text = _read(args.file)
+    if text is None:
+        return 1
+    result = parse(text, source=args.file)
+    _emit(result.diagnostics)
+    document = result.document
+    if document is None:
         return 1
     if args.canonical:
         sys.stdout.write(format_document(document))
@@ -85,28 +105,20 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    document, failed = _parse_file(args.file)
-    if failed or document is None:
+    loaded = _load_file(args.file)
+    if loaded is None or (args.strict and loaded.diagnostics):
         return 1
-    diagnostics = check_model(document.model)
-    _emit(diagnostics)
-    if has_errors(diagnostics) or (args.strict and diagnostics):
-        return 1
-    print(f"ok: {len(diagnostics)} warning(s)" if diagnostics else "ok")
+    count = len(loaded.diagnostics)
+    print(f"ok: {count} warning(s)" if count else "ok")
     return 0
 
 
 def _cmd_eventize(args: argparse.Namespace) -> int:
-    document = _checked_document(args.file)
-    if document is None:
+    loaded = _load_file(args.file)
+    if loaded is None:
         return 1
-    try:
-        events, graph, report = build_from_document(document)
-    except (EventError, BehaviorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for name in events:
-        event = events[name]
+    graph, report = loaded.graph, loaded.coverage
+    for name, event in loaded.events.items():
         marks = []
         if name in graph.initial:
             marks.append("initial")
@@ -136,14 +148,13 @@ def _make_policy(choice: str, seed: int):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    document = _checked_document(args.file)
-    if document is None:
+    loaded = _load_file(args.file)
+    if loaded is None:
         return 1
     try:
-        _, graph, _ = build_from_document(document)
         policy = _make_policy(args.policy, args.seed)
-        trace = run(graph, policy, horizon=args.horizon, seed=args.seed)
-    except (EventError, BehaviorError, SimulationError, ScriptedExhaustedError, ValueError) as exc:
+        trace = run(loaded.graph, policy, horizon=args.horizon, seed=args.seed)
+    except (SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     last = trace.ticks[-1] if trace.ticks else None
@@ -154,23 +165,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"live at end: {', '.join(last.live)}")
     if args.trace:
         export_mod.write_text_atomic(
-            args.trace, export_mod.trace_to_json(trace, graph, document.model)
+            args.trace, export_mod.trace_to_json(trace, loaded.graph, loaded.document.model)
         )
         print(f"trace written: {args.trace}")
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    document = _checked_document(args.file)
-    if document is None:
+    loaded = _load_file(args.file)
+    if loaded is None:
         return 1
-    graph = None
-    if args.behavior and document.events:
-        try:
-            _, graph, _ = build_from_document(document)
-        except (EventError, BehaviorError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    document = loaded.document
     if args.format == "json":
         text = export_mod.model_to_json(
             document,
@@ -178,9 +183,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
             include_behavior=args.behavior,
         )
     else:
-        text = export_mod.export_dot(
-            document, behavior=graph, include_regions=args.regions
-        )
+        graph = loaded.graph if args.behavior and document.events else None
+        text = export_mod.export_dot(document, behavior=graph, include_regions=args.regions)
     if args.output:
         export_mod.write_text_atomic(args.output, text)
     else:
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--regions", action="store_true", help="include regions and events"
     )
     p_export.add_argument(
-        "--behavior", action="store_true", help="include the behavior graph"
+        "--behavior", action="store_true", help="include the behavior graph and its events"
     )
     p_export.set_defaults(func=_cmd_export)
     return parser

@@ -65,7 +65,6 @@ CATALOGUE: tuple[RuleInfo, ...] = (
     RuleInfo("P3", Severity.ERROR, "duplicate id: name already declared in this scope"),
     RuleInfo("P4", Severity.ERROR, "unresolved reference: path or name does not resolve"),
     RuleInfo("P5", Severity.ERROR, "invalid value: literal out of its permitted range"),
-    RuleInfo("D1", Severity.ERROR, "duplicate stage kind within one machine"),
     RuleInfo("F1", Severity.ERROR, "illegal flow adjacency within a machine"),
     RuleInfo("F2", Severity.ERROR, "cross-machine flow that does not pass between transfer ports"),
     RuleInfo("T1", Severity.WARNING, "trigger stays inside a single flow series of one machine"),

@@ -37,6 +37,7 @@ from tmkit.model import (
     KIND_NAMES,
     StaticModel,
     UnknownEntityError,
+    has_control_character,
     validate_name,
 )
 
@@ -57,7 +58,6 @@ AMBIGUOUS_NAMES = frozenset({"choice", "concurrent", "repeat"})
 class RegionDecl:
     name: str
     stage_ids: tuple[str, ...]
-    span: SourceSpan | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +120,8 @@ def document_from_parts(
             raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
         if event.duration < 1:
             raise ValueError(f"event {event.name!r} duration must be >= 1")
+        if event.label is not None and has_control_character(event.label):
+            raise ValueError(f"event {event.name!r} label contains a control character")
     for decl in behavior:
         for name in (decl.source, *decl.targets):
             if name is not None and name not in event_decls:
@@ -558,6 +560,8 @@ class _Parser:
                     self.error("expected a quoted label")
                 self.advance()
                 label = str(tok.value)
+                if has_control_character(label):
+                    self.error("label contains a control character", tok, code="P5")
         self.expect_punct(";", "after the event")
         self.events.append(_EventItem(name, self.token_span(name_tok), region, duration, label))
 
@@ -778,8 +782,7 @@ class _Linker:
                 stage_ids.update(self.model.stages_under(entity_id))
             else:
                 self.note("P4", "a storage cannot be a region member", span)
-        self.regions[item.name] = RegionDecl(item.name, tuple(sorted(stage_ids)), item.name_span)
-        self.spans[f"region:{item.name}"] = item.name_span
+        self.regions[item.name] = RegionDecl(item.name, tuple(sorted(stage_ids)))
 
     def link_event(self, item: _EventItem) -> None:
         if item.name in self.events:
@@ -794,7 +797,6 @@ class _Linker:
             self.note("P4", f"event {item.name!r} names unknown region {item.region!r}", item.name_span)
             return
         self.events[item.name] = EventDecl(item.name, item.region, item.duration, item.label, item.name_span)
-        self.spans[f"event:{item.name}"] = item.name_span
 
     def link_behavior(self, decl: BehaviorDecl) -> None:
         names = [n for n in (decl.source, *decl.targets) if n is not None]

@@ -1,63 +1,55 @@
 """Eventizer: regions become events, events connect into a behavior graph.
 
-An event is a region of the static model paired with a time submachine. The
-time submachine is the event's own transfer->receive->process chain: receive
-fires at the tick the event instantiates (opening its "now"), and process
-spans `duration` ticks. Behavior edges order events: Sequence, Choice (one
-alternative is taken), Concurrent (all branches are taken), and Repeat (the
-next generation of the target replaces the previous one, optionally bounded).
+An event is a region of the static model plus a duration in whole ticks: the
+region's receive fires at the tick the event instantiates (opening its "now"),
+and its processing spans `duration` ticks. Behavior edges order events:
+Sequence, Choice (one alternative is taken), Concurrent (all branches are
+taken), and Repeat (the next generation of the target replaces the previous
+one, optionally bounded).
 
 Initial events are those with no inbound sequence/choice/concurrent edge from
 a source event; choice/concurrent statements written without a source describe
 how the initial events start. Terminal events have no outbound edges at all:
 an event that only repeats is not terminal.
+
+`eventize` reports faults as diagnostics: R1/R2/R3 spanned by the event
+declaration, B1 spanned by the offending behavior statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from tmkit.diagnostics import has_errors
+from tmkit.diagnostics import Diagnostic, has_errors, make
 from tmkit.dsl import BehaviorDecl, ModelDocument
 from tmkit.model import Region, StaticModel
 from tmkit.validate import check_region
 
 
 class EventError(Exception):
-    pass
+    """A region or duration a valid event cannot have; `findings` says why."""
+
+    def __init__(self, message: str, findings: Sequence[Diagnostic] = ()):
+        super().__init__(message)
+        self.findings = tuple(findings)
 
 
 class BehaviorError(Exception):
-    pass
+    """A behavior that cannot run; `decl` is the statement at fault, when known."""
 
-
-TIME_STAGES: tuple[str, str, str] = ("transfer", "receive", "process")
-
-
-@dataclass(frozen=True, slots=True)
-class TimeSubmachine:
-    """The machine side of an event: arrival, acceptance, and timed processing."""
-
-    duration: int = 1
-    stages: tuple[str, str, str] = TIME_STAGES
-
-    def __post_init__(self) -> None:
-        if self.duration < 1:
-            raise EventError(f"duration must be >= 1, got {self.duration}")
+    def __init__(self, message: str, decl: BehaviorDecl | None = None):
+        super().__init__(message)
+        self.decl = decl
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Event:
     name: str
     region: Region
-    time: TimeSubmachine
+    duration: int
     model: StaticModel
     label: str | None = None
-
-    @property
-    def duration(self) -> int:
-        return self.time.duration
 
 
 class BehaviorEdgeKind(Enum):
@@ -139,14 +131,20 @@ def define_event(
     label: str | None = None,
 ) -> Event:
     """Carve an event out of the model. The region must pass the error rules
-    (a disconnected region is allowed with a warning; empty or split ones are not)."""
-    members = tuple(stage_ids)
-    findings = check_region(model, members, subject=name)
+    (a disconnected region is allowed with a warning; empty or split ones are
+    not) and the duration must be at least one tick."""
+    if duration < 1:
+        message = f"duration must be >= 1, got {duration}"
+        raise EventError(message, [make("P5", message, subject=name)])
+    members = frozenset(stage_ids)
+    region = model.subdiagram(members) if members else None
+    findings = check_region(model, members, name, region)
     if has_errors(findings):
         first = next(d for d in findings if d.is_error)
-        raise EventError(f"region of event {name!r} is invalid: {first.code}: {first.message}")
-    region = model.subdiagram(members)
-    return Event(name, region, TimeSubmachine(duration), model, label)
+        raise EventError(
+            f"region of event {name!r} is invalid: {first.code}: {first.message}", findings
+        )
+    return Event(name, region, duration, model, label)
 
 
 def build_behavior(events: Mapping[str, Event], decls: Sequence[BehaviorDecl]) -> BehaviorGraph:
@@ -156,25 +154,21 @@ def build_behavior(events: Mapping[str, Event], decls: Sequence[BehaviorDecl]) -
     choice_seq = 0
     concurrent_seq = 0
 
-    def known(name: str | None) -> None:
-        if name is not None and name not in events:
-            raise BehaviorError(f"behavior references unknown event {name!r}")
-
     for decl in decls:
-        known(decl.source)
-        for target in decl.targets:
-            known(target)
+        for name in (decl.source, *decl.targets):
+            if name is not None and name not in events:
+                raise BehaviorError(f"behavior references unknown event {name!r}", decl)
         if decl.kind == "seq":
             edges.append(BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.SEQUENCE))
         elif decl.kind == "repeat":
             if decl.bound is not None and decl.bound < 1:
-                raise BehaviorError("repeat bound must be >= 1")
+                raise BehaviorError("repeat bound must be >= 1", decl)
             edges.append(
                 BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.REPEAT, bound=decl.bound)
             )
         elif decl.kind in ("choice", "concurrent"):
             if len(decl.targets) < 2:
-                raise BehaviorError(f"a {decl.kind} group needs at least two events")
+                raise BehaviorError(f"a {decl.kind} group needs at least two events", decl)
             if decl.kind == "choice":
                 choice_seq += 1
                 group_id = f"c{choice_seq}"
@@ -187,24 +181,30 @@ def build_behavior(events: Mapping[str, Event], decls: Sequence[BehaviorDecl]) -
             for target in decl.targets:
                 edges.append(BehaviorEdge(decl.source, target, kind, group=group_id))
         else:
-            raise BehaviorError(f"unknown behavior statement kind {decl.kind!r}")
+            raise BehaviorError(f"unknown behavior statement kind {decl.kind!r}", decl)
 
-    graph = BehaviorGraph(dict(events), tuple(edges), tuple(groups))
-    _reject_unannotated_cycles(graph)
-    if graph.events and not graph.initial:
-        raise BehaviorError("behavior has no initial event: every event has an inbound edge")
-    return graph
+    # A behavior without an initial event has a cycle, so this check covers it too.
+    cycle = _unannotated_cycle(events, decls)
+    if cycle is not None:
+        target, decl = cycle
+        raise BehaviorError(
+            f"cycle through {target!r} has no repeat edge; annotate it with 'repeat'", decl
+        )
+    return BehaviorGraph(dict(events), tuple(edges), tuple(groups))
 
 
-def _reject_unannotated_cycles(graph: BehaviorGraph) -> None:
-    """Cycles must pass through a repeat edge; anything else cannot make progress."""
-    forward: dict[str, list[str]] = {name: [] for name in graph.events}
-    for edge in graph.edges:
-        if edge.source is not None and edge.kind is not BehaviorEdgeKind.REPEAT:
-            forward[edge.source].append(edge.target)
+def _unannotated_cycle(
+    events: Mapping[str, Event], decls: Sequence[BehaviorDecl]
+) -> tuple[str, BehaviorDecl] | None:
+    """An event on a cycle without a repeat edge, and the statement closing
+    that cycle, if there is one: such a cycle cannot make progress."""
+    forward: dict[str, list[tuple[str, BehaviorDecl]]] = {name: [] for name in events}
+    for decl in decls:
+        if decl.source is not None and decl.kind != "repeat":
+            forward[decl.source].extend((target, decl) for target in decl.targets)
     state: dict[str, int] = {}  # 0 visiting, 1 done
 
-    for start in sorted(graph.events):
+    for start in sorted(events):
         if start in state:
             continue
         stack: list[tuple[str, int]] = [(start, 0)]
@@ -213,16 +213,15 @@ def _reject_unannotated_cycles(graph: BehaviorGraph) -> None:
             node, index = stack.pop()
             if index < len(forward[node]):
                 stack.append((node, index + 1))
-                nxt = forward[node][index]
+                nxt, decl = forward[node][index]
                 if nxt not in state:
                     state[nxt] = 0
                     stack.append((nxt, 0))
                 elif state[nxt] == 0:
-                    raise BehaviorError(
-                        f"cycle through {nxt!r} has no repeat edge; annotate it with 'repeat'"
-                    )
+                    return nxt, decl
             else:
                 state[node] = 1
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,15 +259,40 @@ def overlap(a: Event, b: Event) -> Region | None:
     return a.model.subdiagram(shared)
 
 
-def build_from_document(document: ModelDocument) -> tuple[dict[str, Event], BehaviorGraph, CoverageReport]:
-    """Eventize a parsed document: define every declared event, connect the
-    behavior, and report coverage."""
+def eventize(
+    document: ModelDocument,
+) -> tuple[dict[str, Event], BehaviorGraph | None, CoverageReport | None, list[Diagnostic]]:
+    """Define every declared event, connect the behavior, and report coverage.
+    Faults are diagnostics, not exceptions: R1/R2/R3 spanned at the event
+    declaration, B1 at the behavior statement. On errors the graph and the
+    coverage are None."""
+    found: list[Diagnostic] = []
     events: dict[str, Event] = {}
     for name, decl in document.events.items():
-        region = document.regions[decl.region]
-        events[name] = define_event(
-            document.model, name, region.stage_ids, decl.duration, decl.label
-        )
-    graph = build_behavior(events, document.behavior)
-    report = coverage(events, document.model)
+        stage_ids = document.regions[decl.region].stage_ids
+        try:
+            event = define_event(document.model, name, stage_ids, decl.duration, decl.label)
+        except EventError as exc:
+            found.extend(replace(d, span=decl.span) for d in exc.findings)
+            continue
+        if not event.region.connected:
+            found.append(make("R2", "region is not weakly connected", decl.span, name))
+        events[name] = event
+    if has_errors(found):
+        return events, None, None, found
+    try:
+        graph = build_behavior(events, document.behavior)
+    except BehaviorError as exc:
+        span = exc.decl.span if exc.decl is not None else None
+        return events, None, None, [*found, make("B1", str(exc), span)]
+    return events, graph, coverage(events, document.model), found
+
+
+def build_from_document(document: ModelDocument) -> tuple[dict[str, Event], BehaviorGraph, CoverageReport]:
+    """Eventize a document, raising EventError (region rules, duration) or
+    BehaviorError (B1) for its first error diagnostic."""
+    events, graph, report, diagnostics = eventize(document)
+    for diag in diagnostics:
+        if diag.is_error:
+            raise (BehaviorError if diag.code == "B1" else EventError)(diag.render())
     return events, graph, report

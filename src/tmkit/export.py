@@ -1,9 +1,10 @@
 """Serialization: DOT rendering, versioned JSON export/import, atomic writes.
 
 JSON documents carry a schema tag: "tm-model/1" for static models (optionally
-with regions, events, and behavior) and "tm-trace/1" for run traces. Traces
-reference their inputs by sha256 content digests. All emission is in sorted-id
-order so identical inputs produce identical bytes.
+with regions and events, or with behavior, which implies them) and
+"tm-trace/1" for run traces. Traces reference their inputs by sha256 content
+digests. All emission is in sorted-id order so identical inputs produce
+identical bytes.
 
 DOT output renders machines as nested clusters, stages as boxes, storages as
 cylinders, flows as solid arrows (labelled with their thing), and triggers as
@@ -13,10 +14,11 @@ behavior included, a second digraph for the event graph follows the first.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
+import uuid
 
 from tmkit.dsl import BehaviorDecl, EventDecl, ModelDocument, document_from_parts
 from tmkit.events import BehaviorGraph
@@ -173,27 +175,24 @@ TRACE_SCHEMA: dict = {
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename; never leaves partial output."""
+    """Write via a sibling temp file and rename; never leaves partial output.
+    The file gets the mode a plain open() would give it (0666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory, prefix=".tmkit-", delete=False
-    )
+    temp = os.path.join(directory, f".tmkit-{uuid.uuid4().hex}")
     try:
-        with handle:
+        descriptor = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(descriptor, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
         raise
 
 
-def _model_payload(document: ModelDocument, include_regions: bool, include_behavior: bool) -> dict:
-    model = document.model
-    payload: dict = {
-        "schema": MODEL_SCHEMA_ID,
+def _structure(model: StaticModel) -> dict:
+    """Machine tree and storages, spelled alike in the JSON document and the digest."""
+    return {
         "machines": [
             {
                 "id": machine.id,
@@ -205,6 +204,18 @@ def _model_payload(document: ModelDocument, include_regions: bool, include_behav
             }
             for machine in sorted(model.machines.values(), key=lambda m: m.id)
         ],
+        "storages": [
+            {"id": s.id, "owner": s.owner, "thing": s.thing}
+            for s in sorted(model.storages.values(), key=lambda s: s.id)
+        ],
+    }
+
+
+def _model_payload(document: ModelDocument, include_regions: bool, include_behavior: bool) -> dict:
+    model = document.model
+    payload: dict = {
+        "schema": MODEL_SCHEMA_ID,
+        **_structure(model),
         "stages": [
             {"id": s.id, "kind": s.kind.value, "owner": s.owner}
             for s in sorted(model.stages.values(), key=lambda s: s.id)
@@ -217,12 +228,8 @@ def _model_payload(document: ModelDocument, include_regions: bool, include_behav
             {"id": t.id, "src": t.src, "dst": t.dst}
             for t in sorted(model.triggers.values(), key=lambda t: t.id)
         ],
-        "storages": [
-            {"id": s.id, "owner": s.owner, "thing": s.thing}
-            for s in sorted(model.storages.values(), key=lambda s: s.id)
-        ],
     }
-    if include_regions:
+    if include_regions or include_behavior:
         payload["regions"] = {
             name: list(decl.stage_ids) for name, decl in sorted(document.regions.items())
         }
@@ -246,6 +253,8 @@ def _model_payload(document: ModelDocument, include_regions: bool, include_behav
 def model_to_json(
     document: ModelDocument, include_regions: bool = False, include_behavior: bool = False
 ) -> str:
+    """tm-model/1 JSON. The behavior brings the regions and events along: every
+    declared event is a node of the behavior graph, so import_json needs them."""
     if not document.model.frozen:
         raise ExportError("model must be frozen before export")
     payload = _model_payload(document, include_regions, include_behavior)
@@ -257,25 +266,11 @@ def model_digest(model: StaticModel) -> str:
     declaration order, so they are left out: two models that draw the same
     diagram hash alike no matter how their sources were arranged."""
     payload = {
-        "machines": [
-            {
-                "id": machine.id,
-                "name": machine.name,
-                "parent": machine.parent,
-                "children": sorted(machine.children),
-                "stages": sorted(machine.stages.values()),
-                "storages": sorted(machine.storages),
-            }
-            for machine in sorted(model.machines.values(), key=lambda m: m.id)
-        ],
+        **_structure(model),
         "flows": sorted(
             [e.src, e.dst, e.thing or ""] for e in model.flows.values()
         ),
         "triggers": sorted([t.src, t.dst] for t in model.triggers.values()),
-        "storages": [
-            {"id": s.id, "owner": s.owner, "thing": s.thing}
-            for s in sorted(model.storages.values(), key=lambda s: s.id)
-        ],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

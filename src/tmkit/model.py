@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -105,19 +106,22 @@ class Storage:
 
 @dataclass(frozen=True, slots=True)
 class Region:
-    """Induced subdiagram: a stage set plus every edge with both endpoints inside."""
+    """Induced subdiagram of a stage set: the stages, and whether the flow and
+    trigger edges with both endpoints inside connect them weakly."""
 
     stages: frozenset[str]
-    flows: frozenset[str]
-    triggers: frozenset[str]
     connected: bool
+
+
+def has_control_character(text: str) -> bool:
+    return any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in text)
 
 
 def validate_name(name: str) -> str:
     """Names must be printable, dot-free, quote-free, and not reserved."""
     if not name:
         raise InvalidNameError("name must not be empty")
-    if any(ch in name for ch in '."') or any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in name):
+    if any(ch in name for ch in '."') or has_control_character(name):
         raise InvalidNameError(f"name contains a forbidden character: {name!r}")
     if name == ROOT_NAME:
         raise InvalidNameError(f"{ROOT_NAME!r} names the root machine and is reserved")
@@ -246,12 +250,6 @@ class StaticModel:
             return self.storages[node_id].owner
         raise UnknownEntityError(f"unknown stage or storage: {node_id!r}")
 
-    def same_machine(self, a: str, b: str) -> bool:
-        return self.owner_of(a) == self.owner_of(b)
-
-    def stage_of(self, machine_id: str, kind: ActionKind) -> str | None:
-        return self._machine(machine_id).stages.get(kind)
-
     def stages_under(self, machine_id: str) -> list[str]:
         """All stage ids owned by a machine or any of its descendants, sorted."""
         found: list[str] = []
@@ -340,29 +338,16 @@ class StaticModel:
         for stage_id in members:
             if stage_id not in self.stages:
                 raise UnknownEntityError(f"unknown stage: {stage_id!r}")
-        flow_ids = frozenset(
-            e.id for e in self.flows.values() if e.src in members and e.dst in members
-        )
-        trigger_ids = frozenset(
-            t.id for t in self.triggers.values() if t.src in members and t.dst in members
-        )
-        connected = self._weakly_connected(members, flow_ids, trigger_ids)
-        return Region(frozenset(members), flow_ids, trigger_ids, connected)
+        return Region(frozenset(members), self._weakly_connected(members))
 
-    def _weakly_connected(
-        self, members: set[str], flow_ids: frozenset[str], trigger_ids: frozenset[str]
-    ) -> bool:
+    def _weakly_connected(self, members: set[str]) -> bool:
         if len(members) <= 1:
             return True
         neighbours: dict[str, set[str]] = {m: set() for m in members}
-        for fid in flow_ids:
-            edge = self.flows[fid]
-            neighbours[edge.src].add(edge.dst)
-            neighbours[edge.dst].add(edge.src)
-        for tid in trigger_ids:
-            trig = self.triggers[tid]
-            neighbours[trig.src].add(trig.dst)
-            neighbours[trig.dst].add(trig.src)
+        for edge in chain(self.flows.values(), self.triggers.values()):
+            if edge.src in members and edge.dst in members:
+                neighbours[edge.src].add(edge.dst)
+                neighbours[edge.dst].add(edge.src)
         start = next(iter(sorted(members)))
         seen = {start}
         frontier = [start]

@@ -1,12 +1,11 @@
 """Deterministic discrete-tick execution of behavior graphs.
 
-Lifecycle of an event instance (its time submachine made executable):
+Lifecycle of an event instance:
 
   * instantiation at tick t: the transfer->receive of the instance fires, the
-    instance is Initiated and live at tick t;
-  * the next step promotes it to Processing; processing occupies `duration`
-    ticks, so an instance started at tick s completes during the step that
-    advances the clock to s + duration;
+    instance is initiated and live at tick t;
+  * it then processes for `duration` ticks, so an instance started at tick s
+    completes during the step that advances the clock to s + duration;
   * completion archives it (end = s + duration) into the append-only record;
   * an instance is also archived early, mid-processing, when a successor
     event's receive erupts: its end is the successor's receive tick (cutoff).
@@ -43,8 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 
 from tmkit.events import BehaviorEdgeKind, BehaviorGraph, Group
 
@@ -61,12 +59,6 @@ class ScriptedExhaustedError(SimulationError):
     pass
 
 
-class Phase(Enum):
-    INITIATED = "initiated"
-    PROCESSING = "processing"
-    ARCHIVED = "archived"
-
-
 @dataclass(frozen=True, slots=True)
 class EventInstance:
     iid: str  # "<event>#<generation>"
@@ -74,7 +66,6 @@ class EventInstance:
     generation: int
     start: int  # receive tick
     duration: int
-    phase: Phase = Phase.INITIATED
     end: int | None = None  # archive tick
 
     def __post_init__(self) -> None:
@@ -230,11 +221,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
         raise SimulationError("nothing is live; the run has ended")
     t = state.tick + 1
 
-    live: dict[str, EventInstance] = {}
-    for name, inst in state.live.items():
-        if inst.phase is Phase.INITIATED:
-            inst = replace(inst, phase=Phase.PROCESSING)
-        live[name] = inst
+    live = dict(state.live)
 
     completed = [live[name] for name in sorted(live) if t - live[name].start >= live[name].duration]
     for inst in completed:
@@ -245,16 +232,14 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
     rng_state = state.rng_state
     script_pos = state.script_pos
     choices: list[tuple[str, str]] = []
-    archived: list[EventInstance] = [replace(i, phase=Phase.ARCHIVED, end=t) for i in completed]
+    archived: list[EventInstance] = [replace(i, end=t) for i in completed]
 
     # Gather instantiation requests in deterministic order.
     requests: list[tuple[str, bool]] = []  # (event, via repeat)
     resolved_groups: set[str] = set()
     for inst in completed:
         for edge in behavior.out_edges(inst.event):
-            if edge.kind is BehaviorEdgeKind.SEQUENCE:
-                requests.append((edge.target, False))
-            elif edge.kind is BehaviorEdgeKind.CONCURRENT:
+            if edge.kind in (BehaviorEdgeKind.SEQUENCE, BehaviorEdgeKind.CONCURRENT):
                 requests.append((edge.target, False))
             elif edge.kind is BehaviorEdgeKind.CHOICE:
                 if edge.group in resolved_groups:
@@ -282,7 +267,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
                 continue  # already live; at most one instance per event
             # Repeat replaces: archive the previous generation at the new receive.
             del live[target]
-            archived.append(replace(previous, phase=Phase.ARCHIVED, end=t))
+            archived.append(replace(previous, end=t))
         generation = generations.get(target, 0) + 1
         generations[target] = generation
         live[target] = EventInstance(
@@ -298,7 +283,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
             old = live.get(pred)
             if old is not None and old.start < t:
                 del live[pred]
-                archived.append(replace(old, phase=Phase.ARCHIVED, end=t))
+                archived.append(replace(old, end=t))
 
     archived = _sorted_instances(archived)
     return SimState(
@@ -313,9 +298,9 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
     )
 
 
-def _snapshot(state: SimState) -> TickSnapshot:
+def _snapshot(state: SimState, archived: tuple[EventInstance, ...] = ()) -> TickSnapshot:
     live = tuple(inst.iid for inst in _sorted_instances(list(state.live.values())))
-    return TickSnapshot(state.tick, live, (), state.choices)
+    return TickSnapshot(state.tick, live, tuple(inst.iid for inst in archived), state.choices)
 
 
 def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int | None = None) -> SimTrace:
@@ -345,14 +330,7 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
             break
         newly = state.record.entries[recorded:]
         recorded = len(state.record.entries)
-        snapshots.append(
-            TickSnapshot(
-                state.tick,
-                tuple(inst.iid for inst in _sorted_instances(list(state.live.values()))),
-                tuple(inst.iid for inst in newly),
-                state.choices,
-            )
-        )
+        snapshots.append(_snapshot(state, newly))
     return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, state.record)
 
 

@@ -1,6 +1,7 @@
 """Well-formedness rules for static models and regions.
 
-Every rule reports through the closed diagnostic catalogue:
+Every rule reports through the closed diagnostic catalogue (`tmkit.load`
+spans each finding at its subject, region findings at their event):
 
   F1  same-machine flow edge whose (from kind, to kind) pair is not in the table
   F2  cross-machine flow edge not allowed by the table (defaults: only
@@ -9,7 +10,6 @@ Every rule reports through the closed diagnostic catalogue:
   M1  machine with stages but no entry: no create stage and no inbound
       cross-machine flow into its transfer/receive (warning)
   M2  release stage with no outgoing flow to a transfer (warning)
-  D1  duplicate stage kind inside one machine
   R1  empty region
   R2  region not weakly connected (warning)
   R3  region contains exactly one endpoint of a transfer->receive flow edge;
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from tmkit.diagnostics import Diagnostic, make
-from tmkit.model import ActionKind, StaticModel
+from tmkit.model import ActionKind, Region, StaticModel
 
 Triple = tuple[ActionKind, ActionKind, bool]  # (from kind, to kind, same machine?)
 
@@ -83,16 +83,6 @@ def _flow_components(model: StaticModel) -> dict[str, int]:
 def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -> list[Diagnostic]:
     """Check every flow, trigger, and machine of the model. Pure; deterministic order."""
     found: list[Diagnostic] = []
-
-    # D1: one stage per kind per machine (guarded at build time, re-checked for imports).
-    per_machine: dict[tuple[str, ActionKind], int] = {}
-    for stage in model.stages.values():
-        per_machine[(stage.owner, stage.kind)] = per_machine.get((stage.owner, stage.kind), 0) + 1
-    for (owner, kind), count in per_machine.items():
-        if count > 1:
-            found.append(
-                make("D1", f"machine has {count} {kind.value} stages", subject=owner)
-            )
 
     # F1/F2: every stage-to-stage flow edge against the adjacency table.
     for edge in model.flows.values():
@@ -165,14 +155,19 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
 
 
 def check_region(
-    model: StaticModel, stage_ids: Iterable[str], subject: str | None = None
+    model: StaticModel,
+    stage_ids: Iterable[str],
+    subject: str | None = None,
+    region: Region | None = None,
 ) -> list[Diagnostic]:
-    """Check one region (as a stage id set) for R1/R2/R3."""
+    """Check one region (as a stage id set) for R1/R2/R3. Pass `region` when
+    its subdiagram is already built."""
     members = set(stage_ids)
     found: list[Diagnostic] = []
     if not members:
         return [make("R1", "region has no stages", subject=subject)]
-    region = model.subdiagram(members)
+    if region is None:
+        region = model.subdiagram(members)
     if not region.connected:
         found.append(make("R2", "region is not weakly connected", subject=subject))
     for edge in model.flows.values():

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 
@@ -10,6 +12,8 @@ import pytest
 
 import tmkit
 from tmkit.cli import main
+
+from test_load import CYCLE, SPLIT, STAGELESS
 
 BROKEN = """
 machine a {
@@ -60,6 +64,14 @@ def test_parse_failure_exit_one(tmp_path, capsys):
 def test_missing_file_exits_one(capsys):
     assert main(["parse", "/no/such/file.tm"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.tm"
+    path.write_bytes(b"machine caf\xe9 { stage create; }\n")
+    for command in ("parse", "check"):
+        assert main([command, str(path)]) == 1
+        assert "cannot read" in capsys.readouterr().err
 
 
 def test_check_reports_flow_violation(tmp_path, capsys):
@@ -168,3 +180,39 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "parse" in proc.stdout and "simulate" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "text, code", [(CYCLE, "B1"), (STAGELESS, "R1"), (SPLIT, "R3")], ids=["cycle", "stageless", "split"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["eventize"], ["simulate"], ["export", "--format", "json"], ["export", "--format", "dot"]],
+    ids=lambda argv: "-".join(argv),
+)
+def test_region_and_behavior_faults_are_spanned_errors(tmp_path, capsys, text, code, command):
+    path = tmp_path / "model.tm"
+    path.write_text(text, encoding="utf-8")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    lines = streams.err.splitlines()
+    errors = [line for line in lines if " error " in line]
+    assert errors and all(
+        re.match(rf"{re.escape(str(path))}:\d+:\d+: error {code}: ", line) for line in errors
+    )
+    assert not any(line.startswith("error:") for line in lines)
+
+
+def test_written_files_get_the_umask_default_mode(corpus_file, tmp_path):
+    path = corpus_file("eating")
+    outputs = {name: tmp_path / name for name in ("trace.json", "model.json", "model.dot")}
+    previous = os.umask(0o022)
+    try:
+        assert main(["simulate", path, "--trace", str(outputs["trace.json"])]) == 0
+        assert main(["export", path, "--format", "json", "-o", str(outputs["model.json"])]) == 0
+        assert main(["export", path, "--format", "dot", "-o", str(outputs["model.dot"])]) == 0
+    finally:
+        os.umask(previous)
+    for name, output in outputs.items():
+        assert stat.S_IMODE(os.stat(output).st_mode) == 0o644, name

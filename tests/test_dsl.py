@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmkit
@@ -166,6 +167,17 @@ def test_labels_may_carry_quotes():
     assert result.ok, codes(result)
     assert result.document.events["E"].label == 'say "cheese" \\ now'
 
+
+
+def test_labels_with_control_characters_are_rejected():
+    model = tmkit.StaticModel()
+    model.add_stage(model.add_machine("a"), tmkit.ActionKind.CREATE)
+    for label in ("a\nb", "a\rb", "tab\there"):
+        event = tmkit.EventDecl("E", "r", 1, label)
+        with pytest.raises(ValueError, match="control character"):
+            tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": event})
+    result = parse('machine a { stage create; }\nregion r = { a };\nevent E on r label "a\tb";')
+    assert codes(result) == ["P5"]
 
 def test_hyphenated_names_lex_against_arrows():
     result = parse(

@@ -13,6 +13,7 @@ import tmkit
 from tmkit import (
     ExportError,
     FirstDeclared,
+    behavior_digest,
     build_from_document,
     export_dot,
     import_json,
@@ -143,3 +144,22 @@ def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
     assert target.read_text() == "second\n"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmkit-")]
     assert leftovers == []
+
+
+def test_behavior_only_json_brings_its_events_and_reimports(corpus):
+    for name, document in corpus.items():
+        text = model_to_json(document, include_behavior=True)
+        clone = import_json(text)
+        assert model_digest(clone.model) == model_digest(document.model), name
+        assert sorted(clone.events) == sorted(document.events), name
+        _, graph, _ = build_from_document(document)
+        _, cloned_graph, _ = build_from_document(clone)
+        assert behavior_digest(cloned_graph) == behavior_digest(graph), name
+
+
+def test_import_rejects_labels_with_control_characters(corpus):
+    payload = json.loads(model_to_json(corpus["ball"], True, True))
+    first = sorted(payload["events"])[0]
+    payload["events"][first]["label"] = "a\nb"
+    with pytest.raises(ExportError, match="control character"):
+        import_json(json.dumps(payload))
