@@ -78,33 +78,46 @@ class Group:
 
 @dataclass(slots=True)
 class BehaviorGraph:
+    """Events and the edges between them. The per-event indexes are built once,
+    in __post_init__, so the simulator's lookups never scan the edge list."""
+
     events: dict[str, Event]
     edges: tuple[BehaviorEdge, ...]
     groups: tuple[Group, ...]
     initial: frozenset[str] = field(init=False)
     terminal: frozenset[str] = field(init=False)
+    _out_edges: dict[str, tuple[BehaviorEdge, ...]] = field(init=False, repr=False, compare=False)
+    _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _groups_by_id: dict[str, Group] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        has_inbound: set[str] = set()
-        has_outbound: set[str] = set()
+        out: dict[str, list[BehaviorEdge]] = {}
+        preds: dict[str, set[str]] = {}
         for edge in self.edges:
             if edge.source is not None:
-                has_outbound.add(edge.source)
+                out.setdefault(edge.source, []).append(edge)
                 if edge.kind is not BehaviorEdgeKind.REPEAT:
-                    has_inbound.add(edge.target)
-        self.initial = frozenset(name for name in self.events if name not in has_inbound)
-        self.terminal = frozenset(name for name in self.events if name not in has_outbound)
+                    preds.setdefault(edge.target, set()).add(edge.source)
+        self._out_edges = {name: tuple(found) for name, found in out.items()}
+        self._predecessors = {name: tuple(sorted(found)) for name, found in preds.items()}
+        self._groups_by_id = {group.group_id: group for group in self.groups}
+        self.initial = frozenset(name for name in self.events if name not in preds)
+        self.terminal = frozenset(name for name in self.events if name not in out)
 
     def out_edges(self, event: str) -> tuple[BehaviorEdge, ...]:
-        return tuple(e for e in self.edges if e.source == event)
+        """Edges leaving `event`, in declaration order."""
+        return self._out_edges.get(event, ())
 
     def predecessors(self, event: str) -> frozenset[str]:
         """Events whose completion can instantiate `event` (repeat excluded)."""
-        return frozenset(
-            e.source
-            for e in self.edges
-            if e.target == event and e.source is not None and e.kind is not BehaviorEdgeKind.REPEAT
-        )
+        return frozenset(self._predecessors.get(event, ()))
+
+    def sorted_predecessors(self, event: str) -> tuple[str, ...]:
+        """predecessors(event) in sorted order, without building a set."""
+        return self._predecessors.get(event, ())
+
+    def group(self, group_id: str) -> Group:
+        return self._groups_by_id[group_id]
 
     def start_groups(self) -> tuple[Group, ...]:
         return tuple(g for g in self.groups if g.source is None)
@@ -115,9 +128,8 @@ class BehaviorGraph:
         seen = {root}
         frontier = [root]
         while frontier:
-            name = frontier.pop()
-            for edge in self.edges:
-                if edge.source == name and edge.target not in seen:
+            for edge in self.out_edges(frontier.pop()):
+                if edge.target not in seen:
                     seen.add(edge.target)
                     frontier.append(edge.target)
         return frozenset(seen)

@@ -329,25 +329,54 @@ def import_json(text: str) -> ModelDocument:
 
 
 def trace_to_json(trace: SimTrace, behavior: BehaviorGraph, model: StaticModel) -> str:
-    payload = {
-        "schema": TRACE_SCHEMA_ID,
-        "model": model_digest(model),
+    """tm-trace/1 JSON, byte for byte what json.dumps(payload, indent=2,
+    sort_keys=True) gives. The tick list is written here: with `indent` set,
+    json falls back to its pure-Python encoder, which long traces feel."""
+    header = {
         "behavior": behavior_digest(behavior),
-        "policy": trace.policy,
-        "seed": trace.seed,
         "horizon": trace.horizon,
+        "model": model_digest(model),
+        "policy": trace.policy,
+        "schema": TRACE_SCHEMA_ID,
+        "seed": trace.seed,
         "termination": trace.termination,
-        "ticks": [
-            {
-                "tick": snap.tick,
-                "live": list(snap.live),
-                "archived": list(snap.archived),
-                "choices": [{"group": g, "chosen": c} for g, c in snap.choices],
-            }
-            for snap in trace.ticks
-        ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    parts = ["{\n"]
+    parts.extend(f"  {_string(key)}: {json.dumps(value)},\n" for key, value in header.items())
+    if not trace.ticks:
+        parts.append('  "ticks": []\n}\n')
+        return "".join(parts)
+    parts.append('  "ticks": [\n')
+    ticks = []
+    for snap in trace.ticks:
+        choices = [
+            f'        {{\n          "chosen": {_string(c)},\n          "group": {_string(g)}\n        }}'
+            for g, c in snap.choices
+        ]
+        ticks.append(
+            f'    {{\n      "archived": {_string_list(snap.archived)},\n'
+            f'      "choices": {_block(choices)},\n'
+            f'      "live": {_string_list(snap.live)},\n'
+            f'      "tick": {snap.tick}\n    }}'
+        )
+    parts.append(",\n".join(ticks))
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _string_list(items: tuple[str, ...]) -> str:
+    """A list of strings at the nesting depth of a tick's fields."""
+    return _block([f"        {_string(item)}" for item in items])
+
+
+def _block(lines: list[str]) -> str:
+    """A JSON array of already indented items, closed at a tick field's depth."""
+    if not lines:
+        return "[]"
+    return "[\n" + ",\n".join(lines) + "\n      ]"
 
 
 # -- DOT ---------------------------------------------------------------------

@@ -10,8 +10,12 @@ Lifecycle of an event instance:
   * an instance is also archived early, mid-processing, when a successor
     event's receive erupts: its end is the successor's receive tick (cutoff).
 
-step() is pure: it builds a new SimState and never mutates its input. All
-iteration is over sorted or declared orders, so runs are bit-reproducible.
+step() is pure: it builds a new SimState and never mutates its input. The
+record is a persistent chain of per-tick chunks: a step that archives
+something adds one chunk in front of the old chain and shares the rest, so a
+step costs what that tick archives, not what the run has archived so far, and
+histories that branch from one state stay independent. All iteration is over
+sorted or declared orders, so runs are bit-reproducible.
 
 On completion of an instance, its event's outbound edges fire in declaration
 order: Sequence instantiates the target; Choice asks the policy for one member
@@ -42,7 +46,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 
 from tmkit.events import BehaviorEdgeKind, BehaviorGraph, Group
 
@@ -75,17 +80,50 @@ class EventInstance:
             raise ValueError(f"instance {self.iid} archived at or before its start")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RecordStore:
-    """Append-only archive of past instances, ordered by (end, event, generation)."""
+    """Append-only archive of past instances, ordered by (end, event, generation).
 
-    entries: tuple[EventInstance, ...] = ()
+    A persistent chain of per-tick chunks: `chunk` holds what one tick
+    archived, `parent` the record before that tick, and `size` the number of
+    entries in the whole chain. extended() never copies or mutates the chain it
+    extends, so every earlier record stays valid and two histories that branch
+    from one state share their common past. Equality compares entries.
+    """
 
-    def extended(self, instances: list[EventInstance]) -> "RecordStore":
-        return RecordStore(self.entries + tuple(instances))
+    chunk: tuple[EventInstance, ...] = ()
+    parent: RecordStore | None = None
+    size: int = 0
+
+    def extended(self, instances: list[EventInstance]) -> RecordStore:
+        """This record plus one tick's archive (already in record order)."""
+        if not instances:
+            return self
+        return RecordStore(tuple(instances), self, self.size + len(instances))
+
+    @property
+    def entries(self) -> tuple[EventInstance, ...]:
+        """Every archived instance, oldest chunk first; built on each call."""
+        chunks: list[tuple[EventInstance, ...]] = []
+        node: RecordStore | None = self
+        while node is not None:
+            chunks.append(node.chunk)
+            node = node.parent
+        return tuple(chain.from_iterable(reversed(chunks)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordStore):
+            return NotImplemented
+        return self is other or (self.size == other.size and self.entries == other.entries)
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"RecordStore({self.entries!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +223,10 @@ def _sorted_instances(instances: list[EventInstance]) -> list[EventInstance]:
     return sorted(instances, key=lambda i: (i.event, i.generation))
 
 
+def _archived(inst: EventInstance, end: int) -> EventInstance:
+    return EventInstance(inst.iid, inst.event, inst.generation, inst.start, inst.duration, end)
+
+
 def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
     """Tick 0: instantiate the initial events; start groups resolve here."""
     rng_state = policy.seed % LCG_MODULUS if isinstance(policy, SeededRandom) else 0
@@ -232,7 +274,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
     rng_state = state.rng_state
     script_pos = state.script_pos
     choices: list[tuple[str, str]] = []
-    archived: list[EventInstance] = [replace(i, end=t) for i in completed]
+    archived: list[EventInstance] = [_archived(i, t) for i in completed]
 
     # Gather instantiation requests in deterministic order.
     requests: list[tuple[str, bool]] = []  # (event, via repeat)
@@ -245,7 +287,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
                 if edge.group in resolved_groups:
                     continue
                 resolved_groups.add(edge.group or "")
-                group = next(g for g in behavior.groups if g.group_id == edge.group)
+                group = behavior.group(edge.group)
                 chosen, rng_state, script_pos = _choose(policy, group, rng_state, script_pos)
                 choices.append((group.group_id, chosen))
                 requests.append((chosen, False))
@@ -267,7 +309,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
                 continue  # already live; at most one instance per event
             # Repeat replaces: archive the previous generation at the new receive.
             del live[target]
-            archived.append(replace(previous, end=t))
+            archived.append(_archived(previous, t))
         generation = generations.get(target, 0) + 1
         generations[target] = generation
         live[target] = EventInstance(
@@ -279,11 +321,11 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
         )
         created.add(target)
         # Cutoff: the new receive archives still-processing predecessors.
-        for pred in sorted(behavior.predecessors(target)):
+        for pred in behavior.sorted_predecessors(target):
             old = live.get(pred)
             if old is not None and old.start < t:
                 del live[pred]
-                archived.append(replace(old, end=t))
+                archived.append(_archived(old, t))
 
     archived = _sorted_instances(archived)
     return SimState(
@@ -313,7 +355,6 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
         state = init(behavior, policy)
     except ScriptedExhaustedError:
         return SimTrace(policy.describe(), trace_seed, horizon, (), "scripted-exhausted", RecordStore())
-    recorded = 0
     snapshots.append(_snapshot(state))
     termination: str
     while True:
@@ -323,13 +364,13 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
         if state.tick >= horizon:
             termination = "horizon"
             break
+        previous = state.record
         try:
             state = step(state, behavior, policy)
         except ScriptedExhaustedError:
             termination = "scripted-exhausted"
             break
-        newly = state.record.entries[recorded:]
-        recorded = len(state.record.entries)
+        newly = state.record.chunk if state.record is not previous else ()
         snapshots.append(_snapshot(state, newly))
     return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, state.record)
 

@@ -64,20 +64,24 @@ def _sorted(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
 
 
 def _flow_components(model: StaticModel) -> dict[str, int]:
-    """Weakly-connected component label per node, over flow edges only."""
-    label: dict[str, int] = {}
-    for index, node in enumerate(sorted(model.stages) + sorted(model.storages)):
-        label[node] = index
-    changed = True
-    while changed:
-        changed = False
-        for edge in model.flows.values():
-            low = min(label[edge.src], label[edge.dst])
-            for node in (edge.src, edge.dst):
-                if label[node] != low:
-                    label[node] = low
-                    changed = True
-    return label
+    """Weakly-connected component label per node, over flow edges only. By
+    union-find; a merge keeps the smaller root, so the label is the smallest
+    index of the component in sorted stage-then-storage order."""
+    nodes = sorted(model.stages) + sorted(model.storages)
+    index = {node: position for position, node in enumerate(nodes)}
+    parent = list(range(len(nodes)))
+
+    def find(item: int) -> int:
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
+    for edge in model.flows.values():
+        a, b = find(index[edge.src]), find(index[edge.dst])
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return {node: find(position) for node, position in index.items()}
 
 
 def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -> list[Diagnostic]:

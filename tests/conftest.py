@@ -111,10 +111,19 @@ def make_random_document(rng: random.Random) -> ModelDocument:
     return document_from_parts(model, regions, events, tuple(decls), source="<generated>")
 
 
-def make_random_behavior(rng: random.Random, max_events: int = 12) -> BehaviorGraph:
+def make_random_behavior(
+    rng: random.Random,
+    max_events: int = 12,
+    min_events: int = 1,
+    endless: bool = False,
+    start_groups: bool = False,
+) -> BehaviorGraph:
     """A runnable behavior graph: single-stage events, forward non-repeat
-    edges (event 0 stays initial), repeats anywhere."""
-    count = rng.randint(1, max_events)
+    edges (event 0 stays initial), repeats anywhere. With `endless`, an event
+    whose only way on is a bounded repeat, or none, also gets an unbounded
+    repeat: no event is terminal and the run goes on to its horizon. With
+    `start_groups`, half the graphs also open with a choice or a fork."""
+    count = rng.randint(min_events, max_events)
     model = StaticModel()
     stage_ids: list[str] = []
     for index in range(count):
@@ -140,6 +149,15 @@ def make_random_behavior(rng: random.Random, max_events: int = 12) -> BehaviorGr
             target = names[rng.randrange(index + 1)]
             bound = rng.choice((None, rng.randint(1, 4)))
             decls.append(BehaviorDecl("repeat", names[index], (target,), bound))
+    if start_groups and count >= 2 and rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            targets = tuple(rng.sample(names, rng.randint(2, min(3, count))))
+            decls.append(BehaviorDecl(rng.choice(("choice", "concurrent")), None, targets))
+    if endless:
+        goes_on = {d.source for d in decls if d.kind != "repeat" or d.bound is None}
+        for index, name in enumerate(names):
+            if name not in goes_on:
+                decls.append(BehaviorDecl("repeat", name, (names[rng.randrange(index + 1)],)))
     return build_behavior(events, decls)
 
 

@@ -1,13 +1,25 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written with different algorithms than the
-code under test: plain edge scans instead of rule tables, union-find instead
-of BFS, fixpoint sweeps instead of worklists, and trace reconstruction from
-the per-tick snapshots instead of the simulator's own record.
+code under test: plain edge scans instead of rule tables and prebuilt
+indexes, union-find instead of BFS and BFS instead of union-find, fixpoint
+sweeps instead of worklists, and trace reconstruction from the per-tick
+snapshots instead of the simulator's own record.
 """
 from __future__ import annotations
 
-from tmkit import BehaviorEdgeKind, BehaviorGraph, SimTrace, StaticModel
+import bisect
+import math
+from collections import Counter, deque
+
+from tmkit import (
+    BehaviorEdgeKind,
+    BehaviorGraph,
+    FirstDeclared,
+    SeededRandom,
+    SimTrace,
+    StaticModel,
+)
 
 # Restated legality tables: (source kind, target kind) pairs spelled out by
 # hand so a typo in the shipped table cannot hide in both places.
@@ -89,6 +101,29 @@ def split_moves(model: StaticModel, members: set[str]) -> list[str]:
     return sorted(bad)
 
 
+def flow_partition(model: StaticModel) -> set[frozenset[str]]:
+    """Weakly-connected components over flow edges, by breadth-first search."""
+    neighbours: dict[str, set[str]] = {node: set() for node in (*model.stages, *model.storages)}
+    for edge in model.flows.values():
+        neighbours[edge.src].add(edge.dst)
+        neighbours[edge.dst].add(edge.src)
+    parts: set[frozenset[str]] = set()
+    seen: set[str] = set()
+    for start in neighbours:
+        if start in seen:
+            continue
+        seen.add(start)
+        part, queue = {start}, deque([start])
+        while queue:
+            for nxt in neighbours[queue.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    part.add(nxt)
+                    queue.append(nxt)
+        parts.add(frozenset(part))
+    return parts
+
+
 def reachable(model: StaticModel, start: str) -> frozenset[str]:
     """Forward influence closure (flows and triggers) by fixpoint sweep;
     storages conduct but are not reported."""
@@ -115,6 +150,34 @@ def duplicate_stage_kinds(model: StaticModel) -> int:
         key = (stage.owner, stage.kind.value)
         counts[key] = counts.get(key, 0) + 1
     return sum(1 for n in counts.values() if n > 1)
+
+
+# -- behavior graph by edge scan ---------------------------------------------
+
+
+def scan_out_edges(graph: BehaviorGraph, event: str) -> tuple:
+    return tuple(e for e in graph.edges if e.source == event)
+
+
+def scan_predecessors(graph: BehaviorGraph, event: str) -> frozenset[str]:
+    return frozenset(
+        e.source
+        for e in graph.edges
+        if e.target == event and e.source is not None and e.kind is not BehaviorEdgeKind.REPEAT
+    )
+
+
+def scan_reachable(graph: BehaviorGraph, root: str) -> frozenset[str]:
+    """Events reachable from root along any edge, by fixpoint sweep."""
+    seen = {root}
+    changed = True
+    while changed:
+        changed = False
+        for edge in graph.edges:
+            if edge.source in seen and edge.target not in seen:
+                seen.add(edge.target)
+                changed = True
+    return frozenset(seen)
 
 
 # -- trace reconstruction ----------------------------------------------------
@@ -183,10 +246,28 @@ def cutoff_violations(graph: BehaviorGraph, trace: SimTrace) -> list[str]:
     by_event: dict[str, list[Lifespan]] = {}
     for span in spans.values():
         by_event.setdefault(span.event, []).append(span)
+    # Per event: starts in order, and the latest end (None: never) among the
+    # instances started so far. One bisect then tells whether any instance
+    # that began before a newcomer outlived its start; the scan below, run
+    # only then, lists which.
+    latest: dict[str, tuple[list[int], list[float]]] = {}
+    for event, group in by_event.items():
+        starts: list[int] = []
+        ends: list[float] = []
+        running = -math.inf
+        for old in sorted(group, key=lambda s: s.start):
+            running = max(running, math.inf if old.end is None else old.end)
+            starts.append(old.start)
+            ends.append(running)
+        latest[event] = (starts, ends)
     problems: list[str] = []
     for span in spans.values():
         for pred in preds[span.event]:
-            for old in by_event.get(pred, []):
+            starts, ends = latest.get(pred, ([], []))
+            earlier = bisect.bisect_left(starts, span.start)
+            if earlier == 0 or ends[earlier - 1] <= span.start:
+                continue
+            for old in by_event[pred]:
                 if old.start < span.start and (old.end is None or old.end > span.start):
                     problems.append(
                         f"{old.iid} (start {old.start}, end {old.end}) survived "
@@ -215,4 +296,113 @@ def repetition_violations(trace: SimTrace) -> list[str]:
                     f"{event}#{g} (end {old.end}) outlived the start of "
                     f"#{g + 1} at {new.start}"
                 )
+    return problems
+
+
+def duration_violations(graph: BehaviorGraph, trace: SimTrace) -> list[str]:
+    """An instance ends at exactly start + duration unless a successor's
+    receive cut it off or its next generation replaced it, both at an earlier
+    tick; one still live at the end has time left."""
+    spans = lifespans(trace)
+    started = {(span.event, span.start) for span in spans.values()}
+    successors: dict[str, set[str]] = {name: set() for name in graph.events}  # whose receive cuts it off
+    for edge in graph.edges:
+        if edge.source is not None and edge.kind is not BehaviorEdgeKind.REPEAT:
+            successors[edge.source].add(edge.target)
+    last = trace.ticks[-1].tick if trace.ticks else 0
+    problems: list[str] = []
+    for span in spans.values():
+        planned = span.start + graph.events[span.event].duration
+        if span.end is None:
+            if planned <= last:
+                problems.append(f"{span.iid} (start {span.start}) still live at {last}, due at {planned}")
+            continue
+        if span.end == planned:
+            continue
+        if span.end > planned:
+            problems.append(f"{span.iid} ended at {span.end}, after its duration ran out at {planned}")
+            continue
+        following = spans.get(f"{span.event}#{span.generation + 1}")
+        replaced = following is not None and following.start == span.end
+        cut = any((succ, span.end) in started for succ in successors[span.event])
+        if not (replaced or cut):
+            problems.append(
+                f"{span.iid} ended at {span.end}, before {planned}, "
+                "with no successor arriving and no next generation"
+            )
+    return problems
+
+
+def choice_violations(graph: BehaviorGraph, trace: SimTrace) -> list[str]:
+    """Each choice group resolves to exactly one of its members each time its
+    source completes, and never otherwise; start groups resolve once, at tick
+    0, a choice starting its one chosen member and a fork all of them."""
+    spans = lifespans(trace)
+    completed: dict[int, set[str]] = {}
+    for span in spans.values():
+        if span.end is not None and span.end == span.start + graph.events[span.event].duration:
+            completed.setdefault(span.end, set()).add(span.event)
+    members = {group.group_id: group.members for group in graph.groups}
+    problems: list[str] = []
+    for snap in trace.ticks:
+        counts = Counter(gid for gid, _ in snap.choices)
+        for gid, chosen in snap.choices:
+            if chosen not in members.get(gid, ()):
+                problems.append(f"tick {snap.tick}: {gid} chose {chosen}, not a member")
+        for group in graph.groups:
+            if group.kind is not BehaviorEdgeKind.CHOICE:
+                continue
+            if group.source is None:
+                expected = 1 if snap.tick == 0 else 0
+            else:
+                expected = 1 if group.source in completed.get(snap.tick, ()) else 0
+            if counts[group.group_id] != expected:
+                problems.append(
+                    f"tick {snap.tick}: {group.group_id} resolved {counts[group.group_id]} "
+                    f"time(s), expected {expected}"
+                )
+    if trace.ticks:
+        # Tick 0 starts exactly: the chosen member of each start choice, every
+        # member of each start fork, and the events no edge leads into that
+        # belong to no start group.
+        first = trace.ticks[0]
+        chosen_at_start = dict(first.choices)
+        due: set[str] = set()
+        grouped: set[str] = set()
+        for group in graph.groups:
+            if group.source is None:
+                grouped.update(group.members)
+                if group.kind is BehaviorEdgeKind.CHOICE:
+                    due.add(str(chosen_at_start.get(group.group_id)))
+                else:
+                    due.update(group.members)
+        entered = {
+            e.target for e in graph.edges if e.source is not None and e.kind is not BehaviorEdgeKind.REPEAT
+        }
+        due.update(name for name in graph.events if name not in entered and name not in grouped)
+        started = {iid.rpartition("#")[0] for iid in first.live}
+        if started != due:
+            problems.append(f"tick 0 started {sorted(started)}, expected {sorted(due)}")
+    return problems
+
+
+def policy_violations(trace: SimTrace, graph: BehaviorGraph, policy) -> list[str]:
+    """Every choice taken, in tick and then in-tick order, is the policy's:
+    the first member, the stated LCG's pick from the seed, or the script's
+    next name."""
+    members = {group.group_id: group.members for group in graph.groups}
+    taken = [(gid, chosen) for snap in trace.ticks for gid, chosen in snap.choices]
+    state = policy.seed % 2**32 if isinstance(policy, SeededRandom) else 0
+    problems: list[str] = []
+    for position, (gid, chosen) in enumerate(taken):
+        options = members[gid]
+        if isinstance(policy, FirstDeclared):
+            expected = options[0]
+        elif isinstance(policy, SeededRandom):
+            state = (1664525 * state + 1013904223) % 2**32
+            expected = options[state % len(options)]
+        else:
+            expected = policy.script[position] if position < len(policy.script) else None
+        if chosen != expected:
+            problems.append(f"choice {position} ({gid}): took {chosen}, policy gives {expected}")
     return problems

@@ -1,7 +1,10 @@
 """Carving events out of the static model and wiring the behavior graph."""
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmkit import (
     ActionKind,
@@ -17,6 +20,9 @@ from tmkit import (
     overlap,
     parse,
 )
+
+import oracles
+from conftest import make_random_behavior
 
 
 def chain_model() -> StaticModel:
@@ -198,3 +204,18 @@ def test_build_from_document_end_to_end():
     assert graph.initial == {"X"} and graph.terminal == {"Y"}
     assert report.uncovered == ()
     assert report.overlaps == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_indexes_equal_their_edge_scan_definitions(seed, max_events):
+    graph = make_random_behavior(random.Random(seed), max_events=max_events)
+    for name in graph.events:
+        assert graph.out_edges(name) == oracles.scan_out_edges(graph, name)
+        assert graph.predecessors(name) == oracles.scan_predecessors(graph, name)
+        assert graph.sorted_predecessors(name) == tuple(sorted(oracles.scan_predecessors(graph, name)))
+        assert graph.reachable_events(name) == oracles.scan_reachable(graph, name)
+    for group in graph.groups:
+        assert graph.group(group.group_id) is group
+    assert graph.out_edges("no such event") == ()
+    assert graph.predecessors("no such event") == frozenset()

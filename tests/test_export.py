@@ -8,13 +8,21 @@ import random
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmkit
 from tmkit import (
+    ActionKind,
+    BehaviorDecl,
     ExportError,
     FirstDeclared,
+    Scripted,
+    SeededRandom,
+    StaticModel,
     behavior_digest,
+    build_behavior,
     build_from_document,
+    define_event,
     export_dot,
     import_json,
     model_digest,
@@ -25,7 +33,7 @@ from tmkit import (
     write_text_atomic,
 )
 
-from conftest import make_random_document
+from conftest import make_random_behavior, make_random_document, make_random_policy
 
 
 def test_model_json_is_schema_valid(corpus):
@@ -45,6 +53,55 @@ def test_trace_json_is_schema_valid(corpus):
     assert len(payload["ticks"]) == 20  # tick zero plus one entry per step
     assert payload["model"] == model_digest(document.model)
     assert payload["termination"] == "horizon"
+
+
+def json_module_form(text: str) -> str:
+    """What json.dumps(payload, indent=2, sort_keys=True) makes of a trace."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_trace_json_matches_the_json_module_on_the_corpus(corpus):
+    for document in corpus.values():
+        _, graph, _ = build_from_document(document)
+        for policy in (FirstDeclared(), SeededRandom(5), Scripted(()), Scripted(("Es2",))):
+            for horizon in (1, 60):
+                text = trace_to_json(run(graph, policy, horizon, seed=7), graph, document.model)
+                assert text == json_module_form(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_trace_json_matches_the_json_module_on_random_graphs(seed, horizon):
+    rng = random.Random(seed)
+    graph = make_random_behavior(rng)
+    model = next(iter(graph.events.values())).model
+    text = trace_to_json(run(graph, make_random_policy(rng), horizon), graph, model)
+    assert text == json_module_form(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=5, unique=True),
+    st.none() | st.integers(-(2**70), 2**70),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_trace_json_escapes_any_event_name(names, seed, horizon, data):
+    model = StaticModel()
+    events = {}
+    for index, name in enumerate(names):
+        stage = model.add_stage(model.add_machine(f"m{index}"), ActionKind.CREATE)
+        events[name] = define_event(model, name, [stage])
+    model.freeze()
+    decls = [BehaviorDecl("choice", None, (names[0], names[1]))]
+    decls += [BehaviorDecl("seq", a, (b,)) for a, b in zip(names[1:], names[2:])]
+    decls.append(BehaviorDecl("repeat", names[-1], (names[0],), 3))
+    graph = build_behavior(events, decls)
+    script = data.draw(st.lists(st.sampled_from(names[:2]), max_size=4))
+    for policy in (FirstDeclared(), Scripted(tuple(script))):
+        text = trace_to_json(run(graph, policy, horizon, seed=seed), graph, model)
+        assert text == json_module_form(text)
+        assert json.loads(text)["seed"] == seed
 
 
 def test_reimport_preserves_structure(corpus):

@@ -5,12 +5,16 @@ rules before the engine ran, then frozen here.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmkit
 from tmkit import (
     ActionKind,
     BehaviorDecl,
+    EventInstance,
     FirstDeclared,
     ScriptedExhaustedError,
     Scripted,
@@ -25,8 +29,10 @@ from tmkit import (
     run,
     step,
 )
+from tmkit.sim import RecordStore
 
 import oracles
+from conftest import make_random_behavior
 
 
 def simple_events(names_durations):
@@ -278,6 +284,49 @@ def test_step_is_pure():
     assert one == two
     assert state.tick == frozen_tick and state.live == frozen_live
     assert len(state.record) == 0
+
+
+def advance(state, graph, policy, ticks):
+    for _ in range(ticks):
+        if not state.live:
+            break
+        state = step(state, graph, policy)
+    return state
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(1, 16))
+def test_branches_from_one_state_keep_their_own_records(seed, prefix, length):
+    rng = random.Random(seed)
+    graph = make_random_behavior(rng)
+    seeded = SeededRandom(rng.randrange(2**32))
+    root = advance(init(graph, seeded), graph, seeded, prefix)
+    before = root.record.entries
+    assert root.record.extended([]) is root.record
+    # Two histories from one state, choosing differently, stepped in turn.
+    branches = {"first": (FirstDeclared(), root), "seeded": (seeded, root)}
+    for _ in range(length):
+        for key, (policy, state) in branches.items():
+            branches[key] = (policy, advance(state, graph, policy, 1))
+    assert root.record.entries == before and len(root.record) == len(before)
+    for policy, state in branches.values():
+        alone = advance(advance(init(graph, seeded), graph, seeded, prefix), graph, policy, length)
+        entries = state.record.entries
+        assert state.record == alone.record
+        assert [i.iid for i in entries] == [i.iid for i in alone.record.entries]
+        assert len(state.record) == len(entries)
+        assert list(entries) == sorted(entries, key=lambda i: (i.end, i.event, i.generation))
+        assert entries[: len(before)] == before
+
+
+def test_record_chain_compares_hashes_and_frees_without_recursion():
+    done = EventInstance("A#1", "A", 1, start=0, duration=1, end=1)
+    one, other = RecordStore(), RecordStore()
+    for _ in range(100_000):
+        one, other = one.extended([done]), other.extended([done])
+    assert len(one) == 100_000 and one == other and hash(one) == hash(other)
+    assert one != other.extended([done]) and one != other.parent
+    del one, other
 
 
 def test_step_refuses_an_empty_world():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmkit import (
     ActionKind,
@@ -15,6 +16,7 @@ from tmkit import (
     check_region,
     has_errors,
 )
+from tmkit.validate import _flow_components
 
 import oracles
 from conftest import make_random_model
@@ -196,3 +198,22 @@ def test_region_rules_match_brute_force_scan():
         diags = check_region(model, members)
         assert ("R2" in codes(diags)) == (not oracles.region_connected(model, members))
         assert ("R3" in codes(diags)) == bool(oracles.split_moves(model, members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+def test_flow_components_partition_like_a_breadth_first_search(seed, machines):
+    model = make_random_model(random.Random(seed), max_machines=machines)
+    labels = _flow_components(model)
+    parts: dict[int, set[str]] = {}
+    for node, label in labels.items():
+        parts.setdefault(label, set()).add(node)
+    assert {frozenset(part) for part in parts.values()} == oracles.flow_partition(model)
+    owner = {stage.id: stage.owner for stage in model.stages.values()}
+    component = {node: part for part in oracles.flow_partition(model) for node in part}
+    expected_t1 = {
+        trig.id
+        for trig in model.triggers.values()
+        if owner[trig.src] == owner[trig.dst] and component[trig.src] == component[trig.dst]
+    }
+    assert {d.subject for d in check_model(model) if d.code == "T1"} == expected_t1
