@@ -23,6 +23,12 @@ Names are identifiers (letters, digits, '_', interior '-') or quoted strings.
 Paths are dot-separated names; the final segment may be a stage kind, a child
 machine (regions only; expands to all stages underneath), or a storage thing.
 A region member naming the reserved root machine covers every stage.
+
+The lexer makes one match of a compiled regex per token, with the blanks,
+newlines and comments before the token folded into the match; lines are
+counted by stepping over the newline offsets the tokens pass. Only strings
+with escapes or without a closing quote, and characters no token starts
+with, take a per-character path. Tokens are plain slotted records.
 """
 from __future__ import annotations
 
@@ -133,13 +139,19 @@ def document_from_parts(
 
 # -- lexer ------------------------------------------------------------------
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_ASCII_DIGITS = frozenset("0123456789")
-_IDENT_CONT = _IDENT_START | _ASCII_DIGITS
-_PUNCT = frozenset("{};:,|=.")
+# One match per token, blanks, newlines and comments before it included.
+# Strings with escapes or without a closing quote, and stray characters, match
+# no group and go to _lex_irregular.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\f\v\n]+|#[^\n]*)*"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)"
+    r"|(?P<int>[0-9]+)"
+    r'|(?P<string>"[^"\\\n]*")'
+    r"|(?P<punct>->|[{};:,|=.]))?"
+)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # "ident" | "string" | "int" | "punct" | "eof"
     text: str
@@ -153,93 +165,93 @@ class Token:
 def _lex(text: str, source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    i = 0
+    append = tokens.append
+    match = _TOKEN_RE.match
+    n = len(text)
+    pos = 0
     line = 1
-    col = 1
+    line_start = 0  # offset of the first character of `line`
+    newline = text.find("\n")  # offset of the newline that ends `line`, or n
+    if newline < 0:
+        newline = n
+    while True:
+        found = match(text, pos)
+        kind = found.lastgroup
+        if kind is None:
+            start = found.end()
+        else:
+            start, pos = found.span(kind)
+        while newline < start:
+            line += 1
+            line_start = newline + 1
+            newline = text.find("\n", line_start)
+            if newline < 0:
+                newline = n
+        if kind is None:
+            if start == n:
+                break
+            pos = _lex_irregular(text, source, start, line, start - line_start + 1, tokens, diags)
+            continue
+        word = found[kind]
+        if kind == "int":
+            value: object = int(word)
+        elif kind == "string":
+            value = word[1:-1]
+        else:
+            value = word
+        append(Token(kind, word, value, start, pos, line, start - line_start + 1))
+    tokens.append(Token("eof", "", None, n, n, line, n - line_start + 1))
+    return tokens, diags
+
+
+def _lex_irregular(
+    text: str,
+    source: str,
+    start: int,
+    line: int,
+    column: int,
+    tokens: list[Token],
+    diags: list[Diagnostic],
+) -> int:
+    """Lex the string or stray character at `start`, which sits at `line` and
+    `column`, one character at a time. Returns the offset after it."""
     n = len(text)
 
-    def span(start: int, end: int, sline: int, scol: int) -> SourceSpan:
-        return SourceSpan(source, start, end, sline, scol)
-
-    def err(message: str, start: int, end: int, sline: int, scol: int) -> None:
+    def err(message: str, begin: int, end: int) -> None:
         if len(diags) < MAX_DIAGNOSTICS:
-            diags.append(make("P1", message, span(start, end, sline, scol)))
+            # An escaped newline can put `begin` on a later line than `start`.
+            newline = text.rfind("\n", start, begin)
+            if newline < 0:
+                at = (line, column + begin - start)
+            else:
+                at = (line + text.count("\n", start, begin), begin - newline)
+            diags.append(make("P1", message, SourceSpan(source, begin, end, *at)))
 
+    if text[start] != '"':
+        err(f"unexpected character {text[start]!r}", start, start + 1)
+        return start + 1
+    i = start + 1
+    parts: list[str] = []
     while i < n:
-        ch = text[i]
-        if ch == "\n":
+        c = text[i]
+        if c == '"':
             i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, sline, scol = i, line, col
-        if ch in _IDENT_START:
-            i += 1
-            while i < n:
-                if text[i] in _IDENT_CONT:
-                    i += 1
-                elif text[i] == "-" and i + 1 < n and text[i + 1] in _IDENT_CONT:
-                    i += 2
-                else:
-                    break
-            word = text[start:i]
-            tokens.append(Token("ident", word, word, start, i, sline, scol))
-        elif ch in _ASCII_DIGITS:
-            i += 1
-            while i < n and text[i] in _ASCII_DIGITS:
-                i += 1
-            word = text[start:i]
-            tokens.append(Token("int", word, int(word), start, i, sline, scol))
-        elif ch == '"':
-            i += 1
-            parts: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\":
-                    if i + 1 < n and text[i + 1] in ('"', "\\"):
-                        parts.append(text[i + 1])
-                        i += 2
-                        continue
-                    err("unknown escape in string", i, min(i + 2, n), sline, scol)
-                    i += 2
-                    continue
-                parts.append(c)
-                i += 1
-            if not closed:
-                err("unterminated string", start, i, sline, scol)
-            else:
-                tokens.append(Token("string", text[start:i], "".join(parts), start, i, sline, scol))
-        elif ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token("punct", "->", "->", start, i + 2, sline, scol))
+            tokens.append(Token("string", text[start:i], "".join(parts), start, i, line, column))
+            return i
+        if c == "\n":
+            break
+        if c == "\\":
+            if i + 1 < n and text[i + 1] in ('"', "\\"):
+                parts.append(text[i + 1])
                 i += 2
-            else:
-                err(f"unexpected character {ch!r}", start, i + 1, sline, scol)
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(Token("punct", ch, ch, start, i + 1, sline, scol))
-            i += 1
-        else:
-            err(f"unexpected character {ch!r}", start, i + 1, sline, scol)
-            i += 1
-        col = scol + (i - start)
-    tokens.append(Token("eof", "", None, n, n, line, col))
-    return tokens, diags
+                continue
+            err("unknown escape in string", i, min(i + 2, n))
+            i = min(i + 2, n)
+            continue
+        parts.append(c)
+        i += 1
+    err("unterminated string", start, i)
+    return i
 
 
 # -- parse tree -------------------------------------------------------------
@@ -372,14 +384,18 @@ class _Parser:
         self.advance()
         return int(tok.value), tok  # type: ignore[arg-type]
 
-    def parse_path(self, what: str) -> tuple[list[str], SourceSpan]:
-        first_value, first = self.parse_name(what)
-        segments = [first_value]
-        last = first
+    def parse_path(self, what: str) -> list[str]:
+        segments = [self.parse_name(what)[0]]
         while self.at_punct("."):
             self.advance()
-            value, last = self.parse_name("after '.'")
-            segments.append(value)
+            segments.append(self.parse_name("after '.'")[0])
+        return segments
+
+    def parse_member(self) -> tuple[list[str], SourceSpan]:
+        """A region member path, with its span for the linker's findings."""
+        first = self.peek()
+        segments = self.parse_path("for a region member")
+        last = self.tokens[self.pos - 1]
         return segments, SourceSpan(self.source, first.start, last.end, first.line, first.column)
 
     def sync(self) -> None:
@@ -494,9 +510,9 @@ class _Parser:
         if not self.at_punct(":"):
             thing, _ = self.parse_name("for the flow thing")
         self.expect_punct(":", "after the flow head")
-        src, _ = self.parse_path("for the flow source")
+        src = self.parse_path("for the flow source")
         self.expect_punct("->", "between flow endpoints")
-        dst, _ = self.parse_path("for the flow target")
+        dst = self.parse_path("for the flow target")
         end = self.expect_punct(";", "after the flow")
         self.flows.append(
             _FlowItem(thing, src, dst, SourceSpan(self.source, start.start, end.end, start.line, start.column))
@@ -505,9 +521,9 @@ class _Parser:
     def parse_trigger(self) -> None:
         start = self.expect_word("trigger", "to start a trigger")
         self.expect_punct(":", "after 'trigger'")
-        src, _ = self.parse_path("for the trigger source")
+        src = self.parse_path("for the trigger source")
         self.expect_punct("->", "between trigger endpoints")
-        dst, _ = self.parse_path("for the trigger target")
+        dst = self.parse_path("for the trigger target")
         end = self.expect_punct(";", "after the trigger")
         self.triggers.append(
             _TriggerItem(src, dst, SourceSpan(self.source, start.start, end.end, start.line, start.column))
@@ -517,7 +533,7 @@ class _Parser:
         start = self.expect_word("storage", "to start a storage")
         thing, _ = self.parse_name("for the stored thing")
         self.expect_word("in", "after the thing")
-        path, _ = self.parse_path("for the owning machine")
+        path = self.parse_path("for the owning machine")
         end = self.expect_punct(";", "after the storage")
         self.storages.append(
             _StorageItem(thing, path, SourceSpan(self.source, start.start, end.end, start.line, start.column))
@@ -529,10 +545,10 @@ class _Parser:
         self.expect_punct("=", "after the region name")
         self.expect_punct("{", "to open the member list")
         members: list[tuple[list[str], SourceSpan]] = []
-        members.append(self.parse_path("for a region member"))
+        members.append(self.parse_member())
         while self.at_punct(","):
             self.advance()
-            members.append(self.parse_path("for a region member"))
+            members.append(self.parse_member())
         self.expect_punct("}", "to close the member list")
         self.expect_punct(";", "after the region")
         self.regions.append(_RegionItem(name, self.token_span(name_tok), members))

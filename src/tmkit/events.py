@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from tmkit.diagnostics import Diagnostic, has_errors, make
 from tmkit.dsl import BehaviorDecl, ModelDocument
@@ -89,6 +89,7 @@ class BehaviorGraph:
     _out_edges: dict[str, tuple[BehaviorEdge, ...]] = field(init=False, repr=False, compare=False)
     _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _groups_by_id: dict[str, Group] = field(init=False, repr=False, compare=False)
+    _digest: str | None = field(init=False, default=None, repr=False, compare=False)  # see cached_digest
 
     def __post_init__(self) -> None:
         out: dict[str, list[BehaviorEdge]] = {}
@@ -103,6 +104,14 @@ class BehaviorGraph:
         self._groups_by_id = {group.group_id: group for group in self.groups}
         self.initial = frozenset(name for name in self.events if name not in preds)
         self.terminal = frozenset(name for name in self.events if name not in out)
+
+    def cached_digest(self, compute: Callable[[BehaviorGraph], str]) -> str:
+        """The graph's content digest, compute(self), computed on the first
+        call and kept: like the indexes above, it is taken once from fields
+        that are not changed after construction."""
+        if self._digest is None:
+            self._digest = compute(self)
+        return self._digest
 
     def out_edges(self, event: str) -> tuple[BehaviorEdge, ...]:
         """Edges leaving `event`, in declaration order."""

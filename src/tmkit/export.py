@@ -198,9 +198,9 @@ def _structure(model: StaticModel) -> dict:
                 "id": machine.id,
                 "name": machine.name,
                 "parent": machine.parent,
-                "children": sorted(machine.children),
+                "children": sorted(machine.children.values()),
                 "stages": sorted(machine.stages.values()),
-                "storages": sorted(machine.storages),
+                "storages": sorted(machine.storages.values()),
             }
             for machine in sorted(model.machines.values(), key=lambda m: m.id)
         ],
@@ -264,7 +264,12 @@ def model_to_json(
 def model_digest(model: StaticModel) -> str:
     """Content digest over the structure only. Flow and trigger ids reflect
     declaration order, so they are left out: two models that draw the same
-    diagram hash alike no matter how their sources were arranged."""
+    diagram hash alike no matter how their sources were arranged. A frozen
+    model keeps its digest after the first call."""
+    return model.cached_digest(_structure_digest)
+
+
+def _structure_digest(model: StaticModel) -> str:
     payload = {
         **_structure(model),
         "flows": sorted(
@@ -433,13 +438,13 @@ def _emit_cluster(
             f"{indent}  {_dot_quote(stage_id)} "
             f"[label={_dot_quote(stage.kind.value)}, fillcolor={_dot_quote(fill)}];"
         )
-    for storage_id in sorted(machine.storages):
+    for storage_id in sorted(machine.storages.values()):
         storage = model.storages[storage_id]
         lines.append(
             f"{indent}  {_dot_quote(storage_id)} "
             f"[label={_dot_quote(storage.thing)}, shape=cylinder, fillcolor=white];"
         )
-    for child_id in sorted(machine.children, key=lambda c: model.machines[c].name):
+    for _, child_id in sorted(machine.children.items()):
         _emit_cluster(document, child_id, indent + "  ", colors, lines)
     lines.append(f"{indent}}}")
 
@@ -461,7 +466,7 @@ def export_dot(
     lines.append("  rankdir=LR;")
     lines.append('  node [shape=box, style="rounded,filled", fillcolor=white];')
     root = model.machines[ROOT_ID]
-    for child_id in sorted(root.children, key=lambda c: model.machines[c].name):
+    for _, child_id in sorted(root.children.items()):
         _emit_cluster(document, child_id, "  ", colors, lines)
     for edge in sorted(model.flows.values(), key=lambda e: e.id):
         label = f" [label={_dot_quote(edge.thing)}]" if edge.thing else ""

@@ -33,7 +33,7 @@ def _emit_machine(model: StaticModel, machine: Machine, indent: int, lines: list
     for kind in KIND_ORDER:
         if kind in machine.stages:
             lines.append(f"{pad}  stage {kind.value};")
-    for child_id in sorted(machine.children, key=lambda c: model.machines[c].name):
+    for _, child_id in sorted(machine.children.items()):
         _emit_machine(model, model.machines[child_id], indent + 1, lines)
     lines.append(f"{pad}}}")
 
@@ -63,7 +63,7 @@ def format_document(document: ModelDocument) -> str:
     root = model.machines[ROOT_ID]
     if root.stages or root.storages:
         raise ModelError("stages or storages on the root machine cannot be formatted")
-    for child_id in sorted(root.children, key=lambda c: model.machines[c].name):
+    for _, child_id in sorted(root.children.items()):
         machine_lines: list[str] = []
         _emit_machine(model, model.machines[child_id], 0, machine_lines)
         sections.append(machine_lines)

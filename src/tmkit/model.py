@@ -11,6 +11,16 @@ Entity ids are deterministic:
   storage id   "<machine id>.<thing>"
   flow id      "f0001", "f0002", ... in insertion order (triggers: "t0001", ...)
 
+Each machine maps the names of its child machines and the things of its
+storages to their ids, so path resolution and the duplicate-name check are a
+dict lookup per segment, never a scan of the siblings. Child machines and
+storages of one machine share a namespace.
+
+Each stage or storage node has a list of the flow and trigger edges incident
+to it, appended to by add_flow/add_trigger, so it is current before freeze()
+too. Region connectivity, the forward closure and the validator's R3 check walk
+these lists instead of every edge.
+
 Mutation ops only guard referential integrity; legality of flows against the
 adjacency table is the validator's job.
 """
@@ -18,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class ActionKind(Enum):
@@ -40,6 +49,7 @@ KIND_ORDER: tuple[ActionKind, ...] = (
 )
 
 KIND_NAMES: frozenset[str] = frozenset(kind.value for kind in ActionKind)
+_KIND_BY_NAME: dict[str, ActionKind] = {kind.value: kind for kind in ActionKind}
 
 ROOT_ID = ""
 ROOT_NAME = "world"
@@ -70,9 +80,9 @@ class Machine:
     id: str
     name: str
     parent: str | None
-    children: list[str] = field(default_factory=list)
+    children: dict[str, str] = field(default_factory=dict)  # name -> machine id
     stages: dict[ActionKind, str] = field(default_factory=dict)
-    storages: list[str] = field(default_factory=list)
+    storages: dict[str, str] = field(default_factory=dict)  # thing -> storage id
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +149,9 @@ class StaticModel:
         self.flows: dict[str, FlowEdge] = {}
         self.triggers: dict[str, TriggerEdge] = {}
         self.storages: dict[str, Storage] = {}
+        self._incident: dict[str, list[FlowEdge | TriggerEdge]] = {}
         self._frozen = False
+        self._digest: str | None = None  # see cached_digest
         self._flow_seq = 0
         self._trigger_seq = 0
 
@@ -159,21 +171,20 @@ class StaticModel:
         except KeyError:
             raise UnknownEntityError(f"unknown machine: {machine_id!r}") from None
 
-    def _sibling_names(self, machine: Machine) -> set[str]:
-        names = {self.machines[c].name for c in machine.children}
-        names.update(self.storages[s].thing for s in machine.storages)
-        return names
+    @staticmethod
+    def _guard_new_name(machine: Machine, name: str) -> None:
+        if name in machine.children or name in machine.storages:
+            raise DuplicateEntityError(f"machine or storage {name!r} already exists in {machine.name!r}")
 
     def add_machine(self, name: str, parent: str | None = None) -> str:
         self._guard_mutable()
         validate_name(name)
         parent_id = ROOT_ID if parent is None else parent
         parent_machine = self._machine(parent_id)
-        if name in self._sibling_names(parent_machine):
-            raise DuplicateEntityError(f"machine or storage {name!r} already exists in {parent_machine.name!r}")
+        self._guard_new_name(parent_machine, name)
         machine_id = name if parent_id == ROOT_ID else f"{parent_id}.{name}"
         self.machines[machine_id] = Machine(machine_id, name, parent_id)
-        parent_machine.children.append(machine_id)
+        parent_machine.children[name] = machine_id
         return machine_id
 
     def add_stage(self, machine_id: str, kind: ActionKind) -> str:
@@ -190,11 +201,10 @@ class StaticModel:
         self._guard_mutable()
         validate_name(thing)
         machine = self._machine(machine_id)
-        if thing in self._sibling_names(machine):
-            raise DuplicateEntityError(f"machine or storage {thing!r} already exists in {machine.name!r}")
+        self._guard_new_name(machine, thing)
         storage_id = f"{machine_id}.{thing}"
         self.storages[storage_id] = Storage(storage_id, machine_id, thing)
-        machine.storages.append(storage_id)
+        machine.storages[thing] = storage_id
         return storage_id
 
     def _node(self, node_id: str) -> str:
@@ -209,7 +219,7 @@ class StaticModel:
         self._node(dst)
         self._flow_seq += 1
         flow_id = f"f{self._flow_seq:04d}"
-        self.flows[flow_id] = FlowEdge(flow_id, src, dst, thing)
+        self.flows[flow_id] = self._link(FlowEdge(flow_id, src, dst, thing))
         return flow_id
 
     def add_trigger(self, src: str, dst: str) -> str:
@@ -219,8 +229,15 @@ class StaticModel:
                 raise UnknownEntityError(f"triggers connect stages; unknown stage: {node!r}")
         self._trigger_seq += 1
         trigger_id = f"t{self._trigger_seq:04d}"
-        self.triggers[trigger_id] = TriggerEdge(trigger_id, src, dst)
+        self.triggers[trigger_id] = self._link(TriggerEdge(trigger_id, src, dst))
         return trigger_id
+
+    def _link(self, edge: FlowEdge | TriggerEdge) -> FlowEdge | TriggerEdge:
+        """Enter the edge in the incident lists of its endpoints."""
+        self._incident.setdefault(edge.src, []).append(edge)
+        if edge.dst != edge.src:
+            self._incident.setdefault(edge.dst, []).append(edge)
+        return edge
 
     def freeze(self) -> None:
         """Verify referential integrity and lock the model against mutation."""
@@ -229,7 +246,7 @@ class StaticModel:
         for machine in self.machines.values():
             if machine.id != ROOT_ID and machine.parent not in self.machines:
                 raise ModelError(f"machine {machine.id!r} has a dangling parent")
-            for child in machine.children:
+            for child in machine.children.values():
                 if child not in self.machines:
                     raise ModelError(f"machine {machine.id!r} lists a dangling child {child!r}")
         for edge in self.flows.values():
@@ -241,6 +258,17 @@ class StaticModel:
         self._frozen = True
 
     # -- queries ----------------------------------------------------------
+
+    def cached_digest(self, compute: Callable[[StaticModel], str]) -> str:
+        """The model's content digest, compute(self). A frozen model cannot
+        change, so its digest is computed once and kept; an unfrozen one is
+        digested anew on every call."""
+        if self._digest is not None:
+            return self._digest
+        digest = compute(self)
+        if self._frozen:
+            self._digest = digest
+        return digest
 
     def owner_of(self, node_id: str) -> str:
         """Machine id that owns a stage or storage node."""
@@ -258,7 +286,7 @@ class StaticModel:
             mid = queue.pop()
             machine = self.machines[mid]
             found.extend(machine.stages.values())
-            queue.extend(machine.children)
+            queue.extend(machine.children.values())
         return sorted(found)
 
     def resolve(self, segments: Sequence[str]) -> tuple[str, str]:
@@ -279,26 +307,22 @@ class StaticModel:
         for index in range(start, len(segments)):
             segment = segments[index]
             last = index == len(segments) - 1
-            if last and segment in KIND_NAMES:
-                stage_id = current.stages.get(ActionKind(segment))
+            kind = _KIND_BY_NAME.get(segment) if last else None
+            if kind is not None:
+                stage_id = current.stages.get(kind)
                 if stage_id is None:
                     raise UnknownEntityError(
                         f"machine {current.name!r} has no {segment} stage"
                     )
                 return ("stage", stage_id)
-            child = next(
-                (c for c in current.children if self.machines[c].name == segment), None
-            )
+            child = current.children.get(segment)
             if child is not None:
                 if last:
                     return ("machine", child)
                 current = self.machines[child]
                 continue
             if last:
-                storage = next(
-                    (s for s in current.storages if self.storages[s].thing == segment),
-                    None,
-                )
+                storage = current.storages.get(segment)
                 if storage is not None:
                     return ("storage", storage)
             raise UnknownEntityError(
@@ -306,28 +330,23 @@ class StaticModel:
             )
         raise UnknownEntityError("empty path")  # pragma: no cover
 
-    def _adjacency(self) -> dict[str, list[str]]:
-        adjacency: dict[str, list[str]] = {}
-        for edge in self.flows.values():
-            adjacency.setdefault(edge.src, []).append(edge.dst)
-        for trig in self.triggers.values():
-            adjacency.setdefault(trig.src, []).append(trig.dst)
-        return adjacency
+    def incident_edges(self, node_id: str) -> Sequence[FlowEdge | TriggerEdge]:
+        """Flow and trigger edges with `node_id` as an endpoint, in insertion order."""
+        return self._incident.get(node_id, ())
 
     def reachable_stages(self, start: str) -> frozenset[str]:
         """Forward closure over flow and trigger edges; storage nodes are passed
         through but only stage ids are reported. Includes the start stage."""
         if start not in self.stages:
             raise UnknownEntityError(f"unknown stage: {start!r}")
-        adjacency = self._adjacency()
         seen = {start}
         frontier = [start]
         while frontier:
             node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+            for edge in self._incident.get(node, ()):
+                if edge.src == node and edge.dst not in seen:
+                    seen.add(edge.dst)
+                    frontier.append(edge.dst)
         return frozenset(node for node in seen if node in self.stages)
 
     def subdiagram(self, stage_ids: Iterable[str]) -> Region:
@@ -341,20 +360,16 @@ class StaticModel:
         return Region(frozenset(members), self._weakly_connected(members))
 
     def _weakly_connected(self, members: set[str]) -> bool:
-        if len(members) <= 1:
-            return True
-        neighbours: dict[str, set[str]] = {m: set() for m in members}
-        for edge in chain(self.flows.values(), self.triggers.values()):
-            if edge.src in members and edge.dst in members:
-                neighbours[edge.src].add(edge.dst)
-                neighbours[edge.dst].add(edge.src)
-        start = next(iter(sorted(members)))
+        """Search from one member along the incident edges whose other end is
+        also a member; connected when the search reaches every member."""
+        start = min(members)
         seen = {start}
         frontier = [start]
         while frontier:
             node = frontier.pop()
-            for nxt in neighbours[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen == members
+            for edge in self._incident.get(node, ()):
+                other = edge.dst if edge.src == node else edge.src
+                if other in members and other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        return len(seen) == len(members)

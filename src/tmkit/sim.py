@@ -428,7 +428,12 @@ def race_report(behavior: BehaviorGraph, trace: SimTrace, stream_a: str, stream_
 
 
 def behavior_digest(behavior: BehaviorGraph) -> str:
-    """Stable content hash of a behavior graph (events, regions, edges)."""
+    """Stable content hash of a behavior graph (events, regions, edges),
+    computed once per graph and kept on it."""
+    return behavior.cached_digest(_graph_digest)
+
+
+def _graph_digest(behavior: BehaviorGraph) -> str:
     payload = {
         "events": [
             {

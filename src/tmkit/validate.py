@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from tmkit.diagnostics import Diagnostic, make
-from tmkit.model import ActionKind, Region, StaticModel
+from tmkit.model import ActionKind, FlowEdge, Region, StaticModel
 
 Triple = tuple[ActionKind, ActionKind, bool]  # (from kind, to kind, same machine?)
 
@@ -174,12 +174,15 @@ def check_region(
         region = model.subdiagram(members)
     if not region.connected:
         found.append(make("R2", "region is not weakly connected", subject=subject))
-    for edge in model.flows.values():
-        if edge.src not in model.stages or edge.dst not in model.stages:
-            continue
-        if model.stages[edge.src].kind is ActionKind.TRANSFER and model.stages[edge.dst].kind is ActionKind.RECEIVE:
-            inside = (edge.src in members) + (edge.dst in members)
-            if inside == 1:
+    # A split move has exactly one endpoint inside, so it is among the flows
+    # incident to the members, and is met once, from that endpoint.
+    stages = model.stages
+    for member in members:
+        for edge in model.incident_edges(member):
+            if not isinstance(edge, FlowEdge) or (edge.src in members) == (edge.dst in members):
+                continue
+            src, dst = stages.get(edge.src), stages.get(edge.dst)  # None for a storage
+            if src and dst and src.kind is ActionKind.TRANSFER and dst.kind is ActionKind.RECEIVE:
                 found.append(
                     make(
                         "R3",

@@ -10,6 +10,7 @@ from tmkit import (
     ActionKind,
     BehaviorDecl,
     BehaviorGraph,
+    DuplicateEntityError,
     EventDecl,
     FirstDeclared,
     ModelDocument,
@@ -70,6 +71,32 @@ def make_random_model(rng: random.Random, max_machines: int = 8) -> StaticModel:
         model.add_trigger(rng.choice(stages), rng.choice(stages))
     model.freeze()
     return model
+
+
+def grow_random_model(rng: random.Random, steps: int = 40):
+    """Build an unfrozen model one random mutation at a time, yielding it after
+    each step, so that indexes can be queried and then outgrown. Names repeat
+    on purpose: a rejected duplicate must leave the indexes as they were."""
+    model = StaticModel()
+    names = ("gear", "pump", "duct", "stuff0", "stuff1")
+    for _ in range(steps):
+        machines = sorted(model.machines)
+        nodes = sorted(model.stages) + sorted(model.storages)
+        op = rng.randrange(7)
+        try:
+            if op == 0 or len(machines) == 1:
+                model.add_machine(rng.choice(names), rng.choice((None, *machines)))
+            elif op in (1, 2):
+                model.add_stage(rng.choice(machines), rng.choice(list(ActionKind)))
+            elif op == 3:
+                model.add_storage(rng.choice(machines), rng.choice(names))
+            elif op in (4, 5) and nodes:
+                model.add_flow(rng.choice(nodes), rng.choice(nodes), rng.choice((None, "x")))
+            elif op == 6 and model.stages:
+                model.add_trigger(rng.choice(sorted(model.stages)), rng.choice(sorted(model.stages)))
+        except DuplicateEntityError:
+            pass
+        yield model
 
 
 def make_random_document(rng: random.Random) -> ModelDocument:

@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written with different algorithms than the
-code under test: plain edge scans instead of rule tables and prebuilt
-indexes, union-find instead of BFS and BFS instead of union-find, fixpoint
-sweeps instead of worklists, and trace reconstruction from the per-tick
-snapshots instead of the simulator's own record.
+code under test: a per-character lexer instead of one regex match per token,
+sibling and edge scans instead of name maps and incident lists, plain edge
+scans instead of rule tables and prebuilt indexes, union-find instead of BFS
+and BFS instead of union-find, fixpoint sweeps instead of worklists, and trace
+reconstruction from the per-tick snapshots instead of the simulator's own
+record.
 """
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ from tmkit import (
     SimTrace,
     StaticModel,
 )
+from tmkit.diagnostics import SourceSpan, make
+from tmkit.dsl import MAX_DIAGNOSTICS, Token
+from tmkit.model import KIND_NAMES, ROOT_ID, ROOT_NAME
 
 # Restated legality tables: (source kind, target kind) pairs spelled out by
 # hand so a typo in the shipped table cannot hide in both places.
@@ -99,6 +104,41 @@ def split_moves(model: StaticModel, members: set[str]) -> list[str]:
         ):
             bad.append(edge.id)
     return sorted(bad)
+
+
+def incident_scan(model: StaticModel, node: str) -> list:
+    """Flow and trigger edges touching `node`, by scanning every edge."""
+    edges = [*model.flows.values(), *model.triggers.values()]
+    return [edge for edge in edges if node in (edge.src, edge.dst)]
+
+
+def scan_resolve(model: StaticModel, segments) -> tuple[str, str] | None:
+    """StaticModel.resolve by scanning every machine, stage and storage for the
+    one with the right owner and name; None where resolve raises."""
+    path = list(segments)
+    current = ROOT_ID
+    if path[:1] == [ROOT_NAME]:
+        path = path[1:]
+        if not path:
+            return ("machine", ROOT_ID)
+    if not path:
+        return None
+    for index, segment in enumerate(path):
+        last = index == len(path) - 1
+        if last and segment in KIND_NAMES:
+            stage = [s.id for s in model.stages.values() if s.owner == current and s.kind.value == segment]
+            return ("stage", stage[0]) if stage else None
+        child = [m.id for m in model.machines.values() if m.parent == current and m.name == segment]
+        if child:
+            if last:
+                return ("machine", child[0])
+            current = child[0]
+            continue
+        storage = [s.id for s in model.storages.values() if s.owner == current and s.thing == segment]
+        if last and storage:
+            return ("storage", storage[0])
+        return None
+    return None
 
 
 def flow_partition(model: StaticModel) -> set[frozenset[str]]:
@@ -406,3 +446,104 @@ def policy_violations(trace: SimTrace, graph: BehaviorGraph, policy) -> list[str
         if chosen != expected:
             problems.append(f"choice {position} ({gid}): took {chosen}, policy gives {expected}")
     return problems
+
+
+# -- lexer, one character at a time --------------------------------------------
+
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = frozenset("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS
+
+
+def reference_lex(text: str, source: str = "<input>") -> tuple[list[Token], list]:
+    """The DSL's lexer one character at a time, moving the line and column with
+    every character consumed. It is the lexer tmkit shipped before the regex
+    one, with three position faults mended: a backslash-escaped newline inside
+    a string counts as a line, the end-of-input token after a trailing comment
+    sits after the comment, and a backslash at the very end does not push the
+    "unterminated string" span past the text. A P1 finding is placed at its
+    own start (an unknown escape at its backslash, not at the opening quote)."""
+    tokens: list[Token] = []
+    diags: list = []
+    n = len(text)
+    i, line, col = 0, 1, 1
+
+    def step(count: int) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if text[i] == "\n":
+                line, col = line + 1, 1
+            else:
+                col += 1
+            i += 1
+
+    def err(message: str, start: int, end: int, at_line: int, at_col: int) -> None:
+        if len(diags) < MAX_DIAGNOSTICS:
+            diags.append(make("P1", message, SourceSpan(source, start, end, at_line, at_col)))
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\f\v\n":
+            step(1)
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                step(1)
+            continue
+        start, sline, scol = i, line, col
+        if ch in _IDENT_START:
+            step(1)
+            while i < n:
+                if text[i] in _IDENT_CONT:
+                    step(1)
+                elif text[i] == "-" and i + 1 < n and text[i + 1] in _IDENT_CONT:
+                    step(2)
+                else:
+                    break
+            tokens.append(Token("ident", text[start:i], text[start:i], start, i, sline, scol))
+        elif ch in _DIGITS:
+            while i < n and text[i] in _DIGITS:
+                step(1)
+            tokens.append(Token("int", text[start:i], int(text[start:i]), start, i, sline, scol))
+        elif ch == '"':
+            step(1)
+            parts: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    step(1)
+                    closed = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\":
+                    if i + 1 < n and text[i + 1] in ('"', "\\"):
+                        parts.append(text[i + 1])
+                        step(2)
+                        continue
+                    err("unknown escape in string", i, min(i + 2, n), line, col)
+                    step(min(2, n - i))
+                    continue
+                parts.append(c)
+                step(1)
+            if closed:
+                tokens.append(Token("string", text[start:i], "".join(parts), start, i, sline, scol))
+            else:
+                err("unterminated string", start, i, sline, scol)
+        elif ch == "-" and i + 1 < n and text[i + 1] == ">":
+            step(2)
+            tokens.append(Token("punct", "->", "->", start, i, sline, scol))
+        elif ch in "{};:,|=.":
+            step(1)
+            tokens.append(Token("punct", ch, ch, start, i, sline, scol))
+        else:
+            err(f"unexpected character {ch!r}", start, i + 1, sline, scol)
+            step(1)
+    tokens.append(Token("eof", "", None, n, n, line, col))
+    return tokens, diags
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of an offset, counted from the text itself."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)

@@ -216,3 +216,12 @@ def test_written_files_get_the_umask_default_mode(corpus_file, tmp_path):
         os.umask(previous)
     for name, output in outputs.items():
         assert stat.S_IMODE(os.stat(output).st_mode) == 0o644, name
+
+
+def test_unknown_escape_is_reported_at_its_backslash(tmp_path, capsys):
+    # The finding's line and column are those of its span's start, the
+    # backslash, not of the string's opening quote (column 20).
+    path = tmp_path / "escape.tm"
+    path.write_text('machine a { stage create; }\nregion r = { a };\nevent e on r label "ab\\q";\n', encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{path}:3:23: error P1: unknown escape in string"]

@@ -2,6 +2,7 @@
 atomic writes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -163,6 +164,47 @@ def test_digest_sees_structural_change():
         "machine m { stage create; stage release; }\nflow: m.create -> m.release;"
     ).document
     assert model_digest(a.model) != model_digest(b.model)
+
+
+def count_hashes(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    real = hashlib.sha256
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return calls
+
+
+def test_digests_are_computed_once_per_frozen_model_and_graph(monkeypatch):
+    document = parse(tmkit.corpus_text("disaster")).document
+    _, graph, _ = build_from_document(document)
+    trace = tmkit.run(graph, SeededRandom(4), 40)
+    calls = count_hashes(monkeypatch)
+    first = trace_to_json(trace, graph, document.model)
+    assert len(calls) == 2
+    assert trace_to_json(trace, graph, document.model) == first
+    assert model_digest(document.model) and behavior_digest(graph)
+    assert len(calls) == 2
+    # A fresh parse of the same text has no digest yet and gives the same bytes.
+    fresh = parse(tmkit.corpus_text("disaster")).document
+    assert trace_to_json(trace, build_from_document(fresh)[1], fresh.model) == first
+    assert len(calls) == 4
+
+
+def test_unfrozen_models_are_digested_on_every_call(monkeypatch):
+    model = StaticModel()
+    machine = model.add_machine("m")
+    calls = count_hashes(monkeypatch)
+    before = model_digest(model)
+    model.add_stage(machine, ActionKind.CREATE)
+    during = model_digest(model)
+    assert before != during and len(calls) == 2
+    model.freeze()
+    assert model_digest(model) == model_digest(model) == during
+    assert len(calls) == 3
 
 
 def test_dot_output_is_deterministic_and_complete(corpus):

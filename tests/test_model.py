@@ -15,7 +15,7 @@ from tmkit import (
 )
 
 import oracles
-from conftest import make_random_model
+from conftest import grow_random_model, make_random_model
 
 
 def build_two_machines() -> StaticModel:
@@ -152,3 +152,45 @@ def test_subdiagram_rejects_empty_and_unknown():
         model.subdiagram([])
     with pytest.raises(UnknownEntityError):
         model.subdiagram(["ghost.create"])
+
+
+def candidate_paths(model: StaticModel, rng: random.Random) -> list[list[str]]:
+    """The path of every machine, with and without the root name, extended by
+    stage kinds and storage things (last or not), plus junk paths."""
+    paths: list[list[str]] = []
+    for machine in model.machines.values():
+        segments: list[str] = []
+        walk = machine
+        while walk.parent is not None:
+            segments.insert(0, walk.name)
+            walk = model.machines[walk.parent]
+        paths += [segments, ["world", *segments]]
+        paths += [[*segments, kind.value] for kind in ActionKind]
+        paths += [[*segments, kind.value, "x"] for kind in ActionKind]
+        paths += [[*segments, thing, *tail] for thing in machine.storages for tail in ([], ["x"])]
+    junk = ("gear", "pump", "stuff0", "process", "world", "", "gear.pump", "ghost")
+    paths += [[rng.choice(junk) for _ in range(rng.randint(1, 3))] for _ in range(10)]
+    return [path for path in paths if path]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_indexes_match_scans_while_the_model_grows(seed):
+    rng = random.Random(seed)
+    for model in grow_random_model(rng):
+        for path in candidate_paths(model, rng):
+            expected = oracles.scan_resolve(model, path)
+            if expected is None:
+                with pytest.raises(UnknownEntityError):
+                    model.resolve(path)
+            else:
+                assert model.resolve(path) == expected, path
+        for node in (*model.stages, *model.storages):
+            assert sorted(e.id for e in model.incident_edges(node)) == sorted(
+                e.id for e in oracles.incident_scan(model, node)
+            )
+        stages = sorted(model.stages)
+        if stages:
+            members = set(rng.sample(stages, rng.randint(1, min(5, len(stages)))))
+            assert model.subdiagram(members).connected == oracles.region_connected(model, members)
+            start = rng.choice(stages)
+            assert model.reachable_stages(start) == oracles.reachable(model, start)

@@ -19,7 +19,7 @@ from tmkit import (
 from tmkit.validate import _flow_components
 
 import oracles
-from conftest import make_random_model
+from conftest import grow_random_model, make_random_model
 
 C, P, R, T, V = (
     ActionKind.CREATE,
@@ -217,3 +217,22 @@ def test_flow_components_partition_like_a_breadth_first_search(seed, machines):
         if owner[trig.src] == owner[trig.dst] and component[trig.src] == component[trig.dst]
     }
     assert {d.subject for d in check_model(model) if d.code == "T1"} == expected_t1
+
+
+def expected_region_findings(model: StaticModel, members: set[str]) -> list[tuple[str, str]]:
+    found = [] if oracles.region_connected(model, members) else [("R2", "region is not weakly connected")]
+    for flow_id in oracles.split_moves(model, members):
+        edge = model.flows[flow_id]
+        found.append(("R3", f"region splits the atomic move {edge.src} -> {edge.dst}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_region_findings_match_scans_while_the_model_grows(seed):
+    rng = random.Random(seed)
+    for model in grow_random_model(rng, steps=60):
+        stages = sorted(model.stages)
+        for _ in range(3 if stages else 0):
+            members = set(rng.sample(stages, rng.randint(1, min(6, len(stages)))))
+            got = sorted((d.code, d.message) for d in check_region(model, members))
+            assert got == expected_region_findings(model, members)
