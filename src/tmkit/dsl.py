@@ -23,16 +23,22 @@ Names are identifiers (letters, digits, '_', interior '-') or quoted strings.
 Paths are dot-separated names; the final segment may be a stage kind, a child
 machine (regions only; expands to all stages underneath), or a storage thing.
 A region member naming the reserved root machine covers every stage.
+Durations and bounds are at most 2**63 - 1; a larger number is a P5 finding.
 
-The lexer makes one match of a compiled regex per token, with the blanks,
-newlines and comments before the token folded into the match; lines are
-counted by stepping over the newline offsets the tokens pass. Only strings
-with escapes or without a closing quote, and characters no token starts
-with, take a per-character path. Tokens are plain slotted records.
+A token is only its word (its source text) and its start offset, kept in two
+parallel lists that one scan of a compiled regex fills, with the blanks,
+newlines and comments before each token folded into its match. Only strings
+with escapes or without a closing quote, and characters no token starts with,
+take a per-character path. The first character of a word tells its kind, and
+the parser compares words directly: identifiers, numbers, quoted strings and
+punctuation never share a text. Lines and columns are not tracked: each parse
+keeps one sorted list of newline offsets, and a SourceSpan finds its line and
+column there by bisection when it is built.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from tmkit.diagnostics import Diagnostic, SourceSpan, has_errors, make
@@ -49,6 +55,7 @@ from tmkit.model import (
 
 MAX_DIAGNOSTICS = 100
 MAX_NESTING = 64
+MAX_NUMBER = 2**63 - 1  # largest duration or bound
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(-[A-Za-z0-9_]+)*\Z")
 
@@ -139,119 +146,113 @@ def document_from_parts(
 
 # -- lexer ------------------------------------------------------------------
 
-# One match per token, blanks, newlines and comments before it included.
-# Strings with escapes or without a closing quote, and stray characters, match
-# no group and go to _lex_irregular.
+# One match per token, blanks, newlines and comments before it included. The
+# group is the token's word: its source text, whose first character tells its
+# kind. Strings with escapes or without a closing quote, and stray characters,
+# leave the group empty and go to _lex_irregular.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\f\v\n]+|#[^\n]*)*"
-    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)"
-    r"|(?P<int>[0-9]+)"
-    r'|(?P<string>"[^"\\\n]*")'
-    r"|(?P<punct>->|[{};:,|=.]))?"
+    r'([A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[0-9]+|"[^"\\\n]*"|->|[{};:,|=.])?'
 )
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_START = _IDENT_START | {'"'}
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # "ident" | "string" | "int" | "punct" | "eof"
-    text: str
-    value: object
-    start: int
-    end: int
-    line: int
-    column: int
+class _Text:
+    """A source with its sorted newline offsets: every span's line and column
+    comes from its start offset here."""
+
+    __slots__ = ("text", "source", "newlines")
+
+    def __init__(self, text: str, source: str):
+        self.text = text
+        self.source = source
+        self.newlines = [found.start() for found in re.finditer("\n", text)]
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        line = bisect_left(self.newlines, start)  # newlines before `start`
+        column = start - self.newlines[line - 1] if line else start + 1
+        return SourceSpan(self.source, start, end, line + 1, column)
 
 
-def _lex(text: str, source: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
+def _lex(src: _Text) -> tuple[list[str], list[int], list[Diagnostic]]:
+    """The tokens as parallel lists of words and start offsets, the last word
+    "" for the end of input, and the P1 findings."""
+    text = src.text
+    words: list[str] = []
+    starts: list[int] = []
     diags: list[Diagnostic] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    n = len(text)
+    add_word = words.append
+    add_start = starts.append
     pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of `line`
-    newline = text.find("\n")  # offset of the newline that ends `line`, or n
-    if newline < 0:
-        newline = n
     while True:
-        found = match(text, pos)
-        kind = found.lastgroup
-        if kind is None:
-            start = found.end()
-        else:
-            start, pos = found.span(kind)
-        while newline < start:
-            line += 1
-            line_start = newline + 1
-            newline = text.find("\n", line_start)
-            if newline < 0:
-                newline = n
-        if kind is None:
-            if start == n:
+        for found in _TOKEN_RE.finditer(text, pos):
+            word = found[1]
+            if word is None:
                 break
-            pos = _lex_irregular(text, source, start, line, start - line_start + 1, tokens, diags)
-            continue
-        word = found[kind]
-        if kind == "int":
-            value: object = int(word)
-        elif kind == "string":
-            value = word[1:-1]
-        else:
-            value = word
-        append(Token(kind, word, value, start, pos, line, start - line_start + 1))
-    tokens.append(Token("eof", "", None, n, n, line, n - line_start + 1))
-    return tokens, diags
+            add_word(word)
+            add_start(found.start(1))
+        pos = found.end()
+        if pos == len(text):
+            break
+        pos = _lex_irregular(src, pos, words, starts, diags)
+    add_word("")
+    add_start(len(text))
+    return words, starts, diags
 
 
 def _lex_irregular(
-    text: str,
-    source: str,
-    start: int,
-    line: int,
-    column: int,
-    tokens: list[Token],
-    diags: list[Diagnostic],
+    src: _Text, start: int, words: list[str], starts: list[int], diags: list[Diagnostic]
 ) -> int:
-    """Lex the string or stray character at `start`, which sits at `line` and
-    `column`, one character at a time. Returns the offset after it."""
+    """Lex the string or stray character at `start` one character at a time.
+    Returns the offset after it."""
+    text = src.text
     n = len(text)
 
     def err(message: str, begin: int, end: int) -> None:
         if len(diags) < MAX_DIAGNOSTICS:
-            # An escaped newline can put `begin` on a later line than `start`.
-            newline = text.rfind("\n", start, begin)
-            if newline < 0:
-                at = (line, column + begin - start)
-            else:
-                at = (line + text.count("\n", start, begin), begin - newline)
-            diags.append(make("P1", message, SourceSpan(source, begin, end, *at)))
+            diags.append(make("P1", message, src.span(begin, end)))
 
     if text[start] != '"':
         err(f"unexpected character {text[start]!r}", start, start + 1)
         return start + 1
     i = start + 1
-    parts: list[str] = []
     while i < n:
         c = text[i]
         if c == '"':
-            i += 1
-            tokens.append(Token("string", text[start:i], "".join(parts), start, i, line, column))
-            return i
+            words.append(text[start : i + 1])
+            starts.append(start)
+            return i + 1
         if c == "\n":
             break
         if c == "\\":
-            if i + 1 < n and text[i + 1] in ('"', "\\"):
-                parts.append(text[i + 1])
-                i += 2
-                continue
-            err("unknown escape in string", i, min(i + 2, n))
+            if i + 1 == n or text[i + 1] not in ('"', "\\"):
+                err("unknown escape in string", i, min(i + 2, n))
             i = min(i + 2, n)
             continue
-        parts.append(c)
         i += 1
     err("unterminated string", start, i)
     return i
+
+
+def _string_value(word: str) -> str:
+    """A string token's value: the text between its quotes, with escaped quotes
+    and backslashes undone and unknown escapes (a P1 finding) dropped."""
+    inner = word[1:-1]
+    if "\\" not in inner:
+        return inner
+    return _ESCAPE_RE.sub(lambda found: found[1] if found[1] in '"\\' else "", inner)
+
+
+def _number(word: str) -> int | None:
+    """An int token's value, or None above MAX_NUMBER. The length is checked
+    first because int() refuses strings of more than 4 300 digits."""
+    digits = word.lstrip("0") or "0"
+    if len(digits) > 19:  # MAX_NUMBER has 19
+        return None
+    value = int(digits)
+    return value if value <= MAX_NUMBER else None
 
 
 # -- parse tree -------------------------------------------------------------
@@ -314,10 +315,14 @@ class _Bail(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
-        self.tokens = tokens
+    """Recursive descent over token indices; a token is compared by its word."""
+
+    def __init__(self, src: _Text, words: list[str], starts: list[int]):
+        self.src = src
+        self.words = words
+        self.starts = starts
+        self.last = len(words) - 1  # the end-of-input token
         self.pos = 0
-        self.source = source
         self.diags: list[Diagnostic] = []
         self.machines: list[_MachineItem] = []
         self.flows: list[_FlowItem] = []
@@ -329,106 +334,97 @@ class _Parser:
 
     # -- plumbing --
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.words[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """Step past the current token, never past the end; returns its index."""
+        at = self.pos
+        if at < self.last:
+            self.pos = at + 1
+        return at
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def at(self, word: str) -> bool:
+        return self.words[self.pos] == word
 
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+    def span(self, first: int, last: int | None = None) -> SourceSpan:
+        """From the start of token `first` to the end of token `last` (or `first`)."""
+        if last is None:
+            last = first
+        return self.src.span(self.starts[first], self.starts[last] + len(self.words[last]))
 
-    def token_span(self, tok: Token) -> SourceSpan:
-        return SourceSpan(self.source, tok.start, max(tok.end, tok.start), tok.line, tok.column)
-
-    def error(self, message: str, tok: Token | None = None, code: str = "P2") -> None:
-        tok = tok or self.peek()
+    def error(self, message: str, at: int | None = None, code: str = "P2") -> None:
         if len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(make(code, message, self.token_span(tok)))
+            self.diags.append(make(code, message, self.span(self.pos if at is None else at)))
         raise _Bail()
 
     def note(self, code: str, message: str, span: SourceSpan | None) -> None:
         if len(self.diags) < MAX_DIAGNOSTICS:
             self.diags.append(make(code, message, span))
 
-    def expect_punct(self, text: str, what: str) -> Token:
-        if not self.at_punct(text):
-            self.error(f"expected {text!r} {what}")
-        return self.advance()
-
-    def expect_word(self, word: str, what: str) -> Token:
-        if not self.at_word(word):
+    def expect(self, word: str, what: str) -> int:
+        if self.words[self.pos] != word:
             self.error(f"expected {word!r} {what}")
         return self.advance()
 
-    def parse_name(self, what: str) -> tuple[str, Token]:
-        tok = self.peek()
-        if tok.kind in ("ident", "string"):
-            self.advance()
-            return str(tok.value), tok
-        self.error(f"expected a name {what}")
-        raise AssertionError  # pragma: no cover
+    def parse_name(self, what: str) -> tuple[str, int]:
+        at = self.pos
+        word = self.words[at]
+        if word[:1] not in _NAME_START:
+            self.error(f"expected a name {what}")
+        self.advance()
+        return (_string_value(word) if word[0] == '"' else word), at
 
-    def parse_int(self, what: str) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "int":
+    def parse_int(self, what: str) -> tuple[int, int]:
+        at = self.pos
+        word = self.words[at]
+        if not word[:1].isdigit():
             self.error(f"expected a number {what}")
         self.advance()
-        return int(tok.value), tok  # type: ignore[arg-type]
+        value = _number(word)
+        if value is None:
+            self.error("number out of range", at, code="P5")
+        return value, at  # type: ignore[return-value]
 
     def parse_path(self, what: str) -> list[str]:
         segments = [self.parse_name(what)[0]]
-        while self.at_punct("."):
+        while self.at("."):
             self.advance()
             segments.append(self.parse_name("after '.'")[0])
         return segments
 
     def parse_member(self) -> tuple[list[str], SourceSpan]:
         """A region member path, with its span for the linker's findings."""
-        first = self.peek()
+        first = self.pos
         segments = self.parse_path("for a region member")
-        last = self.tokens[self.pos - 1]
-        return segments, SourceSpan(self.source, first.start, last.end, first.line, first.column)
+        return segments, self.span(first, self.pos - 1)
 
     def sync(self) -> None:
         """Skip to just past the next ';' at brace depth 0, or stop before '}'/eof."""
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct":
-                if tok.text == "{":
-                    depth += 1
-                elif tok.text == "}":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif tok.text == ";" and depth == 0:
-                    self.advance()
+        while self.pos < self.last:
+            word = self.words[self.pos]
+            if word == "{":
+                depth += 1
+            elif word == "}":
+                if depth == 0:
                     return
-            self.advance()
+                depth -= 1
+            elif word == ";" and depth == 0:
+                self.pos += 1
+                return
+            self.pos += 1
 
     def skip_block(self) -> None:
         """Consume a balanced '{ ... }' without interpreting it."""
-        if not self.at_punct("{"):
+        if not self.at("{"):
             return
         depth = 0
-        while True:
-            tok = self.advance()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct" and tok.text == "{":
+        while self.pos < self.last:
+            word = self.words[self.advance()]
+            if word == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
+            elif word == "}":
                 depth -= 1
                 if depth == 0:
                     return
@@ -436,7 +432,7 @@ class _Parser:
     # -- grammar --
 
     def parse_document(self) -> None:
-        while self.peek().kind != "eof":
+        while self.pos < self.last:
             if len(self.diags) >= MAX_DIAGNOSTICS:
                 return
             before = self.pos
@@ -448,50 +444,50 @@ class _Parser:
                 self.advance()  # guarantee progress on any input
 
     def parse_item(self) -> None:
-        tok = self.peek()
-        if tok.kind != "ident":
+        word = self.peek()
+        if word[:1] not in _IDENT_START:
             self.error("expected a declaration")
-        if tok.text == "machine":
+        if word == "machine":
             item = self.parse_machine(1)
             if item is not None:
                 self.machines.append(item)
-        elif tok.text == "flow":
+        elif word == "flow":
             self.parse_flow()
-        elif tok.text == "trigger":
+        elif word == "trigger":
             self.parse_trigger()
-        elif tok.text == "storage":
+        elif word == "storage":
             self.parse_storage()
-        elif tok.text == "region":
+        elif word == "region":
             self.parse_region()
-        elif tok.text == "event":
+        elif word == "event":
             self.parse_event()
-        elif tok.text == "behavior":
+        elif word == "behavior":
             self.parse_behavior()
         else:
-            self.error(f"unknown declaration {tok.text!r}")
+            self.error(f"unknown declaration {word!r}")
 
     def parse_machine(self, depth: int) -> _MachineItem | None:
-        self.expect_word("machine", "to start a machine")
-        name, name_tok = self.parse_name("for the machine")
+        self.expect("machine", "to start a machine")
+        name, name_at = self.parse_name("for the machine")
         if depth > MAX_NESTING:
-            self.note("P2", "machine nesting too deep", self.token_span(name_tok))
+            self.note("P2", "machine nesting too deep", self.span(name_at))
             self.skip_block()
             return None
-        item = _MachineItem(name, self.token_span(name_tok))
-        self.expect_punct("{", "to open the machine body")
-        while not self.at_punct("}") and self.peek().kind != "eof":
+        item = _MachineItem(name, self.span(name_at))
+        self.expect("{", "to open the machine body")
+        while not self.at("}") and self.pos < self.last:
             if len(self.diags) >= MAX_DIAGNOSTICS:
                 break
             before = self.pos
             try:
-                if self.at_word("stage"):
+                if self.at("stage"):
                     self.advance()
-                    kind_value, kind_tok = self.parse_name("for the stage kind")
+                    kind_value, kind_at = self.parse_name("for the stage kind")
                     if kind_value not in KIND_NAMES:
-                        self.error(f"unknown stage kind {kind_value!r}", kind_tok)
-                    self.expect_punct(";", "after the stage")
-                    item.stages.append(_StageItem(ActionKind(kind_value), self.token_span(kind_tok)))
-                elif self.at_word("machine"):
+                        self.error(f"unknown stage kind {kind_value!r}", kind_at)
+                    self.expect(";", "after the stage")
+                    item.stages.append(_StageItem(ActionKind(kind_value), self.span(kind_at)))
+                elif self.at("machine"):
                     child = self.parse_machine(depth + 1)
                     if child is not None:
                         item.children.append(child)
@@ -501,90 +497,84 @@ class _Parser:
                 self.sync()
             if self.pos == before:
                 self.advance()
-        self.expect_punct("}", "to close the machine body")
+        self.expect("}", "to close the machine body")
         return item
 
     def parse_flow(self) -> None:
-        start = self.expect_word("flow", "to start a flow")
+        start = self.expect("flow", "to start a flow")
         thing: str | None = None
-        if not self.at_punct(":"):
+        if not self.at(":"):
             thing, _ = self.parse_name("for the flow thing")
-        self.expect_punct(":", "after the flow head")
+        self.expect(":", "after the flow head")
         src = self.parse_path("for the flow source")
-        self.expect_punct("->", "between flow endpoints")
+        self.expect("->", "between flow endpoints")
         dst = self.parse_path("for the flow target")
-        end = self.expect_punct(";", "after the flow")
-        self.flows.append(
-            _FlowItem(thing, src, dst, SourceSpan(self.source, start.start, end.end, start.line, start.column))
-        )
+        end = self.expect(";", "after the flow")
+        self.flows.append(_FlowItem(thing, src, dst, self.span(start, end)))
 
     def parse_trigger(self) -> None:
-        start = self.expect_word("trigger", "to start a trigger")
-        self.expect_punct(":", "after 'trigger'")
+        start = self.expect("trigger", "to start a trigger")
+        self.expect(":", "after 'trigger'")
         src = self.parse_path("for the trigger source")
-        self.expect_punct("->", "between trigger endpoints")
+        self.expect("->", "between trigger endpoints")
         dst = self.parse_path("for the trigger target")
-        end = self.expect_punct(";", "after the trigger")
-        self.triggers.append(
-            _TriggerItem(src, dst, SourceSpan(self.source, start.start, end.end, start.line, start.column))
-        )
+        end = self.expect(";", "after the trigger")
+        self.triggers.append(_TriggerItem(src, dst, self.span(start, end)))
 
     def parse_storage(self) -> None:
-        start = self.expect_word("storage", "to start a storage")
+        start = self.expect("storage", "to start a storage")
         thing, _ = self.parse_name("for the stored thing")
-        self.expect_word("in", "after the thing")
+        self.expect("in", "after the thing")
         path = self.parse_path("for the owning machine")
-        end = self.expect_punct(";", "after the storage")
-        self.storages.append(
-            _StorageItem(thing, path, SourceSpan(self.source, start.start, end.end, start.line, start.column))
-        )
+        end = self.expect(";", "after the storage")
+        self.storages.append(_StorageItem(thing, path, self.span(start, end)))
 
     def parse_region(self) -> None:
-        self.expect_word("region", "to start a region")
-        name, name_tok = self.parse_name("for the region")
-        self.expect_punct("=", "after the region name")
-        self.expect_punct("{", "to open the member list")
+        self.expect("region", "to start a region")
+        name, name_at = self.parse_name("for the region")
+        self.expect("=", "after the region name")
+        self.expect("{", "to open the member list")
         members: list[tuple[list[str], SourceSpan]] = []
         members.append(self.parse_member())
-        while self.at_punct(","):
+        while self.at(","):
             self.advance()
             members.append(self.parse_member())
-        self.expect_punct("}", "to close the member list")
-        self.expect_punct(";", "after the region")
-        self.regions.append(_RegionItem(name, self.token_span(name_tok), members))
+        self.expect("}", "to close the member list")
+        self.expect(";", "after the region")
+        self.regions.append(_RegionItem(name, self.span(name_at), members))
 
     def parse_event(self) -> None:
-        self.expect_word("event", "to start an event")
-        name, name_tok = self.parse_name("for the event")
-        self.expect_word("on", "after the event name")
+        self.expect("event", "to start an event")
+        name, name_at = self.parse_name("for the event")
+        self.expect("on", "after the event name")
         region, _ = self.parse_name("for the region")
         duration = 1
         label: str | None = None
         seen: set[str] = set()
-        while self.peek().kind == "ident" and self.peek().text in ("duration", "label"):
-            word = self.advance().text
+        while self.peek() in ("duration", "label"):
+            word = self.words[self.advance()]
             if word in seen:
                 self.error(f"duplicate {word!r} clause")
             seen.add(word)
             if word == "duration":
-                duration, dur_tok = self.parse_int("for the duration")
+                duration, duration_at = self.parse_int("for the duration")
                 if duration < 1:
-                    self.error("duration must be >= 1", dur_tok, code="P5")
+                    self.error("duration must be >= 1", duration_at, code="P5")
             else:
-                tok = self.peek()
-                if tok.kind != "string":
+                label_at = self.pos
+                if self.peek()[:1] != '"':
                     self.error("expected a quoted label")
                 self.advance()
-                label = str(tok.value)
+                label = _string_value(self.words[label_at])
                 if has_control_character(label):
-                    self.error("label contains a control character", tok, code="P5")
-        self.expect_punct(";", "after the event")
-        self.events.append(_EventItem(name, self.token_span(name_tok), region, duration, label))
+                    self.error("label contains a control character", label_at, code="P5")
+        self.expect(";", "after the event")
+        self.events.append(_EventItem(name, self.span(name_at), region, duration, label))
 
     def parse_behavior(self) -> None:
-        self.expect_word("behavior", "to start a behavior block")
-        self.expect_punct("{", "to open the behavior block")
-        while not self.at_punct("}") and self.peek().kind != "eof":
+        self.expect("behavior", "to start a behavior block")
+        self.expect("{", "to open the behavior block")
+        while not self.at("}") and self.pos < self.last:
             if len(self.diags) >= MAX_DIAGNOSTICS:
                 break
             before = self.pos
@@ -594,81 +584,54 @@ class _Parser:
                 self.sync()
             if self.pos == before:
                 self.advance()
-        self.expect_punct("}", "to close the behavior block")
+        self.expect("}", "to close the behavior block")
 
-    def parse_group(self, separator: str, what: str) -> tuple[tuple[str, ...], Token]:
-        self.expect_punct("{", f"to open the {what} group")
+    def parse_group(self, separator: str, what: str) -> tuple[str, ...]:
+        self.expect("{", f"to open the {what} group")
         names = [self.parse_name(f"in the {what} group")[0]]
-        while self.at_punct(separator):
+        while self.at(separator):
             self.advance()
             names.append(self.parse_name(f"in the {what} group")[0])
-        end = self.expect_punct("}", f"to close the {what} group")
+        end = self.expect("}", f"to close the {what} group")
         if len(names) < 2:
             self.error(f"a {what} group needs at least two events", end)
-        return tuple(names), end
+        return tuple(names)
 
     def parse_behavior_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "repeat":
-            start = self.advance()
+        start = self.pos
+        if self.at("repeat"):
+            self.advance()
             source, _ = self.parse_name("for the repeated event")
             target = source
-            if self.at_punct("->"):
+            if self.at("->"):
                 self.advance()
                 target, _ = self.parse_name("for the repeat target")
             bound: int | None = None
-            if self.at_word("bound"):
+            if self.at("bound"):
                 self.advance()
-                bound, bound_tok = self.parse_int("for the bound")
+                bound, bound_at = self.parse_int("for the bound")
                 if bound < 1:
-                    self.error("bound must be >= 1", bound_tok, code="P5")
-            end = self.expect_punct(";", "after the repeat")
-            self.behavior.append(
-                BehaviorDecl(
-                    "repeat",
-                    source,
-                    (target,),
-                    bound,
-                    SourceSpan(self.source, start.start, end.end, start.line, start.column),
-                )
-            )
+                    self.error("bound must be >= 1", bound_at, code="P5")
+            end = self.expect(";", "after the repeat")
+            self.behavior.append(BehaviorDecl("repeat", source, (target,), bound, self.span(start, end)))
             return
-        if tok.kind == "ident" and tok.text in ("choice", "concurrent"):
-            self.parse_group_statement(None, tok)
+        if self.peek() in ("choice", "concurrent"):
+            self.parse_group_statement(None, start)
             return
-        start = tok
         source, _ = self.parse_name("to start a behavior statement")
-        self.expect_punct("->", "after the source event")
-        nxt = self.peek()
-        if nxt.kind == "ident" and nxt.text in ("choice", "concurrent"):
+        self.expect("->", "after the source event")
+        if self.peek() in ("choice", "concurrent"):
             self.parse_group_statement(source, start)
             return
         target, _ = self.parse_name("for the target event")
-        end = self.expect_punct(";", "after the edge")
-        self.behavior.append(
-            BehaviorDecl(
-                "seq",
-                source,
-                (target,),
-                None,
-                SourceSpan(self.source, start.start, end.end, start.line, start.column),
-            )
-        )
+        end = self.expect(";", "after the edge")
+        self.behavior.append(BehaviorDecl("seq", source, (target,), None, self.span(start, end)))
 
-    def parse_group_statement(self, source: str | None, start: Token) -> None:
-        word = self.advance().text  # "choice" or "concurrent"
-        separator = "|" if word == "choice" else ","
-        targets, _ = self.parse_group(separator, word)
-        end = self.expect_punct(";", f"after the {word} group")
-        self.behavior.append(
-            BehaviorDecl(
-                word,
-                source,
-                targets,
-                None,
-                SourceSpan(self.source, start.start, end.end, start.line, start.column),
-            )
-        )
+    def parse_group_statement(self, source: str | None, start: int) -> None:
+        word = self.words[self.advance()]  # "choice" or "concurrent"
+        targets = self.parse_group("|" if word == "choice" else ",", word)
+        end = self.expect(";", f"after the {word} group")
+        self.behavior.append(BehaviorDecl(word, source, targets, None, self.span(start, end)))
 
 
 # -- linking ----------------------------------------------------------------
@@ -827,8 +790,9 @@ class _Linker:
 
 def parse(text: str, source: str = "<input>") -> ParseResult:
     """Parse DSL text into a ModelDocument. Total: never raises on any input."""
-    tokens, diagnostics = _lex(text, source)
-    parser = _Parser(tokens, source)
+    src = _Text(text, source)
+    words, starts, diagnostics = _lex(src)
+    parser = _Parser(src, words, starts)
     parser.parse_document()
     diagnostics.extend(parser.diags)
     linker = _Linker(parser, source)

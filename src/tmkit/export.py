@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import uuid
+from typing import Iterable
 
 from tmkit.dsl import BehaviorDecl, EventDecl, ModelDocument, document_from_parts
 from tmkit.events import BehaviorGraph
@@ -190,9 +191,84 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _structure(model: StaticModel) -> dict:
-    """Machine tree and storages, spelled alike in the JSON document and the digest."""
-    return {
+def model_to_json(
+    document: ModelDocument, include_regions: bool = False, include_behavior: bool = False
+) -> str:
+    """tm-model/1 JSON, byte for byte what json.dumps(payload, indent=2,
+    sort_keys=True) gives, written here because `indent` turns off json's C
+    encoder. The behavior brings the regions and events along: every declared
+    event is a node of the behavior graph, so import_json needs them."""
+    if not document.model.frozen:
+        raise ExportError("model must be frozen before export")
+    model, s, v = document.model, _string, _value
+    fields = {
+        "schema": s(MODEL_SCHEMA_ID),
+        "machines": _records(
+            (
+                f'"children": {_string_list(sorted(m.children.values()))}',
+                f'"id": {s(m.id)}',
+                f'"name": {s(m.name)}',
+                f'"parent": {v(m.parent)}',
+                f'"stages": {_string_list(sorted(m.stages.values()))}',
+                f'"storages": {_string_list(sorted(m.storages.values()))}',
+            )
+            for _, m in sorted(model.machines.items())
+        ),
+        "stages": _records(
+            (f'"id": {s(x.id)}', f'"kind": {s(x.kind.value)}', f'"owner": {s(x.owner)}')
+            for _, x in sorted(model.stages.items())
+        ),
+        "storages": _records(
+            (f'"id": {s(x.id)}', f'"owner": {s(x.owner)}', f'"thing": {s(x.thing)}')
+            for _, x in sorted(model.storages.items())
+        ),
+        "flows": _records(
+            (f'"dst": {s(e.dst)}', f'"id": {s(e.id)}', f'"src": {s(e.src)}', f'"thing": {v(e.thing)}')
+            for _, e in sorted(model.flows.items())
+        ),
+        "triggers": _records(
+            (f'"dst": {s(t.dst)}', f'"id": {s(t.id)}', f'"src": {s(t.src)}')
+            for _, t in sorted(model.triggers.items())
+        ),
+    }
+    if include_regions or include_behavior:
+        fields["regions"] = _object(
+            [
+                f"    {s(name)}: " + _block([f"      {s(stage)}" for stage in decl.stage_ids], "\n    ]")
+                for name, decl in sorted(document.regions.items())
+            ]
+        )
+        fields["events"] = _object(
+            [
+                f'    {s(name)}: {{\n      "duration": {v(e.duration)},\n      "label": {v(e.label)},\n'
+                f'      "region": {s(e.region)}\n    }}'
+                for name, e in sorted(document.events.items())
+            ]
+        )
+    if include_behavior:
+        fields["behavior"] = _records(
+            (
+                f'"bound": {v(decl.bound)}',
+                f'"kind": {v(decl.kind)}',
+                f'"source": {v(decl.source)}',
+                f'"targets": {_string_list(decl.targets)}',
+            )
+            for decl in document.behavior
+        )
+    body = ",\n".join(f"  {s(key)}: {value}" for key, value in sorted(fields.items()))
+    return "{\n" + body + "\n}\n"
+
+
+def model_digest(model: StaticModel) -> str:
+    """Content digest over the structure only. Flow and trigger ids reflect
+    declaration order, so they are left out: two models that draw the same
+    diagram hash alike no matter how their sources were arranged. A frozen
+    model keeps its digest after the first call."""
+    return model.cached_digest(_structure_digest)
+
+
+def _structure_digest(model: StaticModel) -> str:
+    payload = {
         "machines": [
             {
                 "id": machine.id,
@@ -208,70 +284,6 @@ def _structure(model: StaticModel) -> dict:
             {"id": s.id, "owner": s.owner, "thing": s.thing}
             for s in sorted(model.storages.values(), key=lambda s: s.id)
         ],
-    }
-
-
-def _model_payload(document: ModelDocument, include_regions: bool, include_behavior: bool) -> dict:
-    model = document.model
-    payload: dict = {
-        "schema": MODEL_SCHEMA_ID,
-        **_structure(model),
-        "stages": [
-            {"id": s.id, "kind": s.kind.value, "owner": s.owner}
-            for s in sorted(model.stages.values(), key=lambda s: s.id)
-        ],
-        "flows": [
-            {"id": e.id, "src": e.src, "dst": e.dst, "thing": e.thing}
-            for e in sorted(model.flows.values(), key=lambda e: e.id)
-        ],
-        "triggers": [
-            {"id": t.id, "src": t.src, "dst": t.dst}
-            for t in sorted(model.triggers.values(), key=lambda t: t.id)
-        ],
-    }
-    if include_regions or include_behavior:
-        payload["regions"] = {
-            name: list(decl.stage_ids) for name, decl in sorted(document.regions.items())
-        }
-        payload["events"] = {
-            name: {"region": decl.region, "duration": decl.duration, "label": decl.label}
-            for name, decl in sorted(document.events.items())
-        }
-    if include_behavior:
-        payload["behavior"] = [
-            {
-                "kind": decl.kind,
-                "source": decl.source,
-                "targets": list(decl.targets),
-                "bound": decl.bound,
-            }
-            for decl in document.behavior
-        ]
-    return payload
-
-
-def model_to_json(
-    document: ModelDocument, include_regions: bool = False, include_behavior: bool = False
-) -> str:
-    """tm-model/1 JSON. The behavior brings the regions and events along: every
-    declared event is a node of the behavior graph, so import_json needs them."""
-    if not document.model.frozen:
-        raise ExportError("model must be frozen before export")
-    payload = _model_payload(document, include_regions, include_behavior)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def model_digest(model: StaticModel) -> str:
-    """Content digest over the structure only. Flow and trigger ids reflect
-    declaration order, so they are left out: two models that draw the same
-    diagram hash alike no matter how their sources were arranged. A frozen
-    model keeps its digest after the first call."""
-    return model.cached_digest(_structure_digest)
-
-
-def _structure_digest(model: StaticModel) -> str:
-    payload = {
-        **_structure(model),
         "flows": sorted(
             [e.src, e.dst, e.thing or ""] for e in model.flows.values()
         ),
@@ -286,7 +298,7 @@ def import_json(text: str) -> ModelDocument:
     order, which reproduces exported ids and keeps hand-written files isomorphic."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
         raise ExportError(f"not JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA_ID:
         raise ExportError(f"expected schema {MODEL_SCHEMA_ID!r}")
@@ -372,16 +384,39 @@ def trace_to_json(trace: SimTrace, behavior: BehaviorGraph, model: StaticModel) 
 _string = json.encoder.encode_basestring_ascii
 
 
-def _string_list(items: tuple[str, ...]) -> str:
-    """A list of strings at the nesting depth of a tick's fields."""
+def _value(value: object) -> str:
+    """A record field's value. import_json takes any JSON for labels, flow
+    things, durations, bounds and behavior kinds, and they are written back
+    as json.dumps would nest them."""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
+    return json.dumps(value)
+
+
+def _string_list(items: Iterable[str]) -> str:
+    """A list of strings at the nesting depth of a tick's or a record's fields."""
     return _block([f"        {_string(item)}" for item in items])
 
 
-def _block(lines: list[str]) -> str:
-    """A JSON array of already indented items, closed at a tick field's depth."""
+def _block(lines: list[str], close: str = "\n      ]") -> str:
+    """A JSON array of already indented items; `close` ends it, by default at
+    the depth of a tick's or a record's fields."""
     if not lines:
         return "[]"
-    return "[\n" + ",\n".join(lines) + "\n      ]"
+    return "[\n" + ",\n".join(lines) + close
+
+
+_FIELD = ",\n      "  # between a record's fields
+
+
+def _records(records: Iterable[tuple[str, ...]]) -> str:
+    """A top-level array of records, each given as its rendered fields."""
+    return _block([f"    {{\n      {_FIELD.join(fields)}\n    }}" for fields in records], "\n  ]")
+
+
+def _object(lines: list[str]) -> str:
+    """A top-level JSON object of already indented members."""
+    return "{\n" + ",\n".join(lines) + "\n  }" if lines else "{}"
 
 
 # -- DOT ---------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Everything here is deliberately written with different algorithms than the
 code under test: a per-character lexer instead of one regex match per token,
+line and column moved with every character instead of found by bisection, a
+payload for json.dumps instead of a hand-written model-JSON emitter,
 sibling and edge scans instead of name maps and incident lists, plain edge
 scans instead of rule tables and prebuilt indexes, union-find instead of BFS
 and BFS instead of union-find, fixpoint sweeps instead of worklists, and trace
@@ -13,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter, deque
+from dataclasses import dataclass
 
 from tmkit import (
     BehaviorEdgeKind,
@@ -23,7 +26,7 @@ from tmkit import (
     StaticModel,
 )
 from tmkit.diagnostics import SourceSpan, make
-from tmkit.dsl import MAX_DIAGNOSTICS, Token
+from tmkit.dsl import MAX_DIAGNOSTICS, ModelDocument
 from tmkit.model import KIND_NAMES, ROOT_ID, ROOT_NAME
 
 # Restated legality tables: (source kind, target kind) pairs spelled out by
@@ -453,6 +456,29 @@ def policy_violations(trace: SimTrace, graph: BehaviorGraph, policy) -> list[str
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _DIGITS = frozenset("0123456789")
 _IDENT_CONT = _IDENT_START | _DIGITS
+LARGEST_NUMBER = 9_223_372_036_854_775_807  # 2**63 - 1, the DSL's largest duration or bound
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str  # "ident" | "string" | "int" | "punct" | "eof"
+    text: str
+    value: object  # an int above LARGEST_NUMBER has None
+    start: int
+    end: int
+    line: int
+    column: int
+
+
+def _number(digits: str) -> int | None:
+    """The value of a run of digits, one digit at a time; None once it passes
+    LARGEST_NUMBER."""
+    value = 0
+    for digit in digits:
+        value = value * 10 + "0123456789".index(digit)
+        if value > LARGEST_NUMBER:
+            return None
+    return value
 
 
 def reference_lex(text: str, source: str = "<input>") -> tuple[list[Token], list]:
@@ -504,7 +530,7 @@ def reference_lex(text: str, source: str = "<input>") -> tuple[list[Token], list
         elif ch in _DIGITS:
             while i < n and text[i] in _DIGITS:
                 step(1)
-            tokens.append(Token("int", text[start:i], int(text[start:i]), start, i, sline, scol))
+            tokens.append(Token("int", text[start:i], _number(text[start:i]), start, i, sline, scol))
         elif ch == '"':
             step(1)
             parts: list[str] = []
@@ -547,3 +573,44 @@ def reference_lex(text: str, source: str = "<input>") -> tuple[list[Token], list
 def position(text: str, offset: int) -> tuple[int, int]:
     """1-based (line, column) of an offset, counted from the text itself."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+# -- model JSON as a payload for json.dumps --------------------------------------
+
+
+def model_payload(document: ModelDocument, include_regions: bool, include_behavior: bool) -> dict:
+    """What model_to_json writes, as a value: json.dumps(payload, indent=2,
+    sort_keys=True) + "\\n" is the expected text."""
+    model = document.model
+    payload: dict = {
+        "schema": "tm-model/1",
+        "machines": [
+            {
+                "id": machine.id,
+                "name": machine.name,
+                "parent": machine.parent,
+                "children": sorted(machine.children.values()),
+                "stages": sorted(machine.stages.values()),
+                "storages": sorted(machine.storages.values()),
+            }
+            for machine in model.machines.values()
+        ],
+        "stages": [{"id": s.id, "kind": s.kind.value, "owner": s.owner} for s in model.stages.values()],
+        "storages": [{"id": s.id, "owner": s.owner, "thing": s.thing} for s in model.storages.values()],
+        "flows": [{"id": e.id, "src": e.src, "dst": e.dst, "thing": e.thing} for e in model.flows.values()],
+        "triggers": [{"id": t.id, "src": t.src, "dst": t.dst} for t in model.triggers.values()],
+    }
+    for key in ("machines", "stages", "storages", "flows", "triggers"):
+        payload[key].sort(key=lambda entry: entry["id"])
+    if include_regions or include_behavior:
+        payload["regions"] = {name: list(decl.stage_ids) for name, decl in document.regions.items()}
+        payload["events"] = {
+            name: {"region": decl.region, "duration": decl.duration, "label": decl.label}
+            for name, decl in document.events.items()
+        }
+    if include_behavior:
+        payload["behavior"] = [
+            {"kind": decl.kind, "source": decl.source, "targets": list(decl.targets), "bound": decl.bound}
+            for decl in document.behavior
+        ]
+    return payload

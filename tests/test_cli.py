@@ -225,3 +225,10 @@ def test_unknown_escape_is_reported_at_its_backslash(tmp_path, capsys):
     path.write_text('machine a { stage create; }\nregion r = { a };\nevent e on r label "ab\\q";\n', encoding="utf-8")
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"{path}:3:23: error P1: unknown escape in string"]
+
+
+def test_check_reports_an_over_long_number(tmp_path, capsys):
+    path = tmp_path / "long.tm"
+    path.write_text("machine a { stage create; }\nregion r = { a };\nevent e on r duration " + "1" * 5000 + ";\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{path}:3:23: error P5: number out of range"]

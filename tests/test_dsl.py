@@ -121,6 +121,20 @@ def test_p5_invalid_values():
     )
 
 
+def test_numbers_above_the_largest_are_p5_at_their_span():
+    head = "machine a { stage create; }\nregion r = { a };\nevent e on r;\n"
+    for clause, tail in (("event f on r duration ", ";"), ("behavior { repeat e bound ", "; }")):
+        for digits in ("9223372036854775808", "1" * 5000, "0" * 5000 + "1" * 20):
+            result = parse(head + clause + digits + tail, "f")
+            assert [d.render() for d in result.diagnostics] == [
+                f"f:4:{len(clause) + 1}: error P5: number out of range"
+            ], digits[:30]
+            span = result.diagnostics[0].span
+            assert (span.start, span.end) == (len(head) + len(clause), len(head) + len(clause) + len(digits))
+    largest = parse(f"{head}event f on r duration {'0' * 5000}9223372036854775807;")
+    assert largest.ok and largest.document.events["f"].duration == 2**63 - 1
+
+
 def test_recovery_reports_every_statement():
     bad = "\n".join("flow x: nowhere%d.create -> gone.release;" % i for i in range(10))
     result = parse(bad)

@@ -24,6 +24,7 @@ from tmkit import (
     build_behavior,
     build_from_document,
     define_event,
+    document_from_parts,
     export_dot,
     import_json,
     model_digest,
@@ -33,8 +34,28 @@ from tmkit import (
     trace_to_json,
     write_text_atomic,
 )
+from tmkit.dsl import EventDecl
+from tmkit.model import InvalidNameError, has_control_character, validate_name
 
+import oracles
 from conftest import make_random_behavior, make_random_document, make_random_policy
+
+MODEL_JSON_FLAGS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def assert_model_json_is_the_json_module_form(document) -> None:
+    for regions, behavior in MODEL_JSON_FLAGS:
+        payload = oracles.model_payload(document, regions, behavior)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert model_to_json(document, regions, behavior) == expected
+
+
+def is_valid_name(name: str) -> bool:
+    try:
+        validate_name(name)
+    except InvalidNameError:
+        return False
+    return True
 
 
 def test_model_json_is_schema_valid(corpus):
@@ -42,6 +63,59 @@ def test_model_json_is_schema_valid(corpus):
         payload = json.loads(model_to_json(document, True, True))
         jsonschema.validate(payload, tmkit.MODEL_SCHEMA)
         assert payload["schema"] == "tm-model/1"
+
+
+def test_model_json_matches_the_json_module_on_the_corpus(corpus):
+    for document in corpus.values():
+        assert_model_json_is_the_json_module_form(document)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_model_json_matches_the_json_module_on_random_documents(seed):
+    assert_model_json_is_the_json_module_form(make_random_document(random.Random(seed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.text(min_size=1, max_size=6).filter(is_valid_name), min_size=1, max_size=4, unique=True),
+    st.lists(st.none() | st.text(max_size=8).filter(lambda t: not has_control_character(t)), min_size=4, max_size=4),
+    st.lists(st.none() | st.text(max_size=6), min_size=4, max_size=4),
+    st.integers(1, 2**63 - 1),
+)
+def test_model_json_escapes_any_name_label_and_thing(names, labels, things, duration):
+    # Names may hold backslashes and any non-ASCII character; labels and flow
+    # things may hold quotes too.
+    model = StaticModel()
+    stages = []
+    for index, name in enumerate(names):
+        parent = model.add_machine(f"m{index}")
+        machine = model.add_machine(name, parent)
+        stages.append(model.add_stage(machine, ActionKind.CREATE))
+        model.add_storage(machine, name)
+    for index, (src, dst) in enumerate(zip(stages, stages[1:] + stages[:1])):
+        model.add_flow(src, dst, things[index % len(things)])
+        model.add_trigger(dst, src)
+    regions = {name: (stage,) for name, stage in zip(names, stages)}
+    events = {
+        name: EventDecl(name, name, duration if index else 1, labels[index % len(labels)])
+        for index, name in enumerate(names)
+    }
+    behavior = tuple(BehaviorDecl("seq", a, (b,)) for a, b in zip(names, names[1:]))
+    behavior += (BehaviorDecl("repeat", names[-1], (names[0],), duration),)
+    assert_model_json_is_the_json_module_form(document_from_parts(model, regions, events, behavior))
+
+
+def test_model_json_writes_back_loosely_typed_fields(corpus):
+    # import_json takes any JSON for these fields; they come back nested as
+    # json.dumps nests them.
+    payload = json.loads(model_to_json(corpus["eating"], True, True))
+    payload["flows"][0]["thing"] = {"b": [1, {"z": None, "a": 2.5}], "a": []}
+    event = payload["events"][min(payload["events"])]
+    event["label"], event["duration"] = ["x", "\u00e9", '"'], True
+    payload["behavior"][0]["bound"] = {"k": [True, None, "\\"]}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert model_to_json(import_json(text), True, True) == text
 
 
 def test_trace_json_is_schema_valid(corpus):
@@ -132,6 +206,10 @@ def test_reimport_random_documents():
 def test_import_rejects_wrong_or_broken_payloads():
     with pytest.raises(ExportError):
         import_json("not even json")
+    with pytest.raises(ExportError, match="not JSON"):  # json.loads raises a bare ValueError
+        import_json('{"schema": "tm-model/1", "x": ' + "1" * 5000 + "}")
+    with pytest.raises(ExportError, match="not JSON"):
+        import_json("[" * 100_000)
     with pytest.raises(ExportError):
         import_json(json.dumps({"schema": "tm-trace/1"}))
     with pytest.raises(ExportError):

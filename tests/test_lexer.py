@@ -1,5 +1,8 @@
 """The regex lexer: positions derived from offsets, and the same tokens and P1
-findings as the per-character reference lexer in oracles.py."""
+findings as the per-character reference lexer in oracles.py.
+
+`_lex` gives words and start offsets only; `lex` below rebuilds the reference
+lexer's tokens from them, so the two are still compared field by field."""
 from __future__ import annotations
 
 import importlib
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tmkit
 from tmkit import parse
-from tmkit.dsl import _TOKEN_RE, _lex
+from tmkit.dsl import _TOKEN_RE, _Parser, _Text, _lex, _number, _string_value
 
 import oracles
 from conftest import make_random_document
@@ -24,7 +27,31 @@ FRAGMENTS = (
     "machine", "stage", "flow", "event", "a-b", "a--b", "x-", "-", "->", "-x", "7",
     "12ab", '"', '"x"', '"a\\"b"', '"\\\\"', '"\\q"', '"\\', "\\", '"\\\n', "# note",
     "#", "\n", " ", "\t", "\r\n", "{", "}", ";", ".", "é", "\x7f",
+    "9223372036854775807", "9223372036854775808", "000" + "9" * 19, "1" * 40,
 )
+
+
+def lex(text: str, source: str = "t.tm") -> tuple[list[oracles.Token], list]:
+    """_lex's tokens as the reference lexer's: the kind from the first character,
+    the value as the parser reads it, the line and column from _Text.span."""
+    src = _Text(text, source)
+    words, starts, diagnostics = _lex(src)
+    tokens = []
+    for word, start in zip(words, starts):
+        span = src.span(start, start + len(word))
+        first = word[:1]
+        if not word:
+            kind, value = "eof", None
+        elif first == '"':
+            kind, value = "string", _string_value(word)
+        elif first.isdigit():
+            kind, value = "int", _number(word)
+        elif first.isalpha() or first == "_":
+            kind, value = "ident", word
+        else:
+            kind, value = "punct", word
+        tokens.append(oracles.Token(kind, word, value, span.start, span.end, span.line, span.column))
+    return tokens, diagnostics
 
 
 def assert_positions(text: str, tokens, diagnostics) -> None:
@@ -34,7 +61,7 @@ def assert_positions(text: str, tokens, diagnostics) -> None:
 
 
 def assert_same_as_reference(text: str) -> None:
-    tokens, diagnostics = _lex(text, "t.tm")
+    tokens, diagnostics = lex(text)
     assert (tokens, diagnostics) == oracles.reference_lex(text, "t.tm")
     assert_positions(text, tokens, diagnostics)
 
@@ -69,6 +96,60 @@ def test_lexers_agree_on_corpus_and_generated_models():
             assert_same_as_reference(text[:cut] + "\\" + text[cut:])
 
 
+def parse_spans(text: str) -> list:
+    """Every SourceSpan that parsing and loading `text` make: the parser's own
+    items (region members included), the diagnostics of every stage, and the
+    document's spans, events and behavior statements."""
+    src = _Text(text, "t.tm")
+    parser = _Parser(src, *_lex(src)[:2])
+    parser.parse_document()
+    spans = [item.span for item in (*parser.flows, *parser.triggers, *parser.storages, *parser.behavior)]
+    machines = list(parser.machines)
+    while machines:
+        machine = machines.pop()
+        spans += [machine.name_span, *(stage.span for stage in machine.stages)]
+        machines += machine.children
+    for region in parser.regions:
+        spans += [region.name_span, *(span for _, span in region.members)]
+    spans += [event.name_span for event in parser.events]
+    result = parse(text, "t.tm")
+    spans += [d.span for d in [*result.diagnostics, *tmkit.load(text, "t.tm").diagnostics] if d.span]
+    if result.document is not None:
+        spans += result.document.spans.values()
+        spans += [decl.span for decl in (*result.document.events.values(), *result.document.behavior)]
+    return spans
+
+
+def assert_spans_placed(text: str) -> None:
+    for span in parse_spans(text):
+        assert span.file == "t.tm"
+        assert (span.line, span.column) == oracles.position(text, span.start), (text, span)
+        assert span.start <= span.end <= len(text), (text, span)
+
+
+def test_every_span_of_the_corpus_and_generated_models_is_placed():
+    rng = random.Random(9090)
+    texts = [tmkit.corpus_text(name) for name in tmkit.corpus_names()]
+    texts += [tmkit.format_document(make_random_document(rng)) for _ in range(20)]
+    for text in texts:
+        assert len(parse_spans(text)) > 1
+        assert_spans_placed(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(FRAGMENTS), max_size=4))
+def test_every_span_of_a_cut_or_corrupted_model_is_placed(seed, junk):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        text = tmkit.corpus_text(rng.choice(tmkit.corpus_names()))
+    else:
+        text = tmkit.format_document(make_random_document(rng))
+    for fragment in junk:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + fragment + text[at + rng.randrange(4):]
+    assert_spans_placed(text[: rng.randrange(len(text) + 1)] if rng.random() < 0.3 else text)
+
+
 def test_escaped_newline_in_a_string_counts_as_a_line():
     text = 'machine a { stage create; }\nregion r = { a };\n\nevent e on "x\\\n" ;\nmachine b { stage bogus; }\n'
     rendered = [d.render() for d in parse(text, "f").diagnostics]
@@ -76,13 +157,13 @@ def test_escaped_newline_in_a_string_counts_as_a_line():
     assert "f:6:19: error P2: unknown stage kind 'bogus'" in rendered
     # A second bad escape, after the escaped newline, is placed on the next line.
     text = 'x "a\\\nbc\\q" y'
-    assert [(d.span.line, d.span.column) for d in _lex(text, "f")[1]] == [(1, 5), (2, 3)]
+    assert [(d.span.line, d.span.column) for d in lex(text, "f")[1]] == [(1, 5), (2, 3)]
     assert_same_as_reference(text)
 
 
 def test_end_of_input_after_a_trailing_comment():
     text = "machine a { stage create;\n  # trailing"
-    eof = _lex(text, "f")[0][-1]
+    eof = lex(text, "f")[0][-1]
     assert (eof.kind, eof.line, eof.column) == ("eof", 2, 13)
     assert [d.render() for d in parse(text, "f").diagnostics] == [
         "f:2:13: error P2: expected '}' to close the machine body"
@@ -91,7 +172,7 @@ def test_end_of_input_after_a_trailing_comment():
 
 def test_backslash_at_the_end_stays_inside_the_text():
     text = 'machine "ab\\'
-    _, diagnostics = _lex(text, "f")
+    _, diagnostics = lex(text, "f")
     assert [(d.message, d.span.start, d.span.end) for d in diagnostics] == [
         ("unknown escape in string", 11, 12),
         ("unterminated string", 8, 12),
