@@ -120,28 +120,47 @@ def document_from_parts(
     behavior: tuple[BehaviorDecl, ...] = (),
     source: str = "<built>",
 ) -> ModelDocument:
-    """Assemble a document programmatically; raises on dangling references."""
+    """Assemble a document programmatically; raises UnknownEntityError on
+    dangling references and ValueError on a field of the wrong type or range:
+    durations and bounds are ints (not bools), labels, behavior kinds and
+    flow things strings."""
     region_decls: dict[str, RegionDecl] = {}
     for name, stage_ids in (regions or {}).items():
         for stage_id in stage_ids:
             if stage_id not in model.stages:
                 raise UnknownEntityError(f"region {name!r} references unknown stage {stage_id!r}")
         region_decls[name] = RegionDecl(name, tuple(sorted(set(stage_ids))))
+    for flow in model.flows.values():
+        if flow.thing is not None and not isinstance(flow.thing, str):
+            raise ValueError(f"flow {flow.id} thing must be a string, got {flow.thing!r}")
     event_decls = dict(events or {})
     for event in event_decls.values():
         if event.region not in region_decls:
             raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
+        if not _is_int(event.duration):
+            raise ValueError(f"event {event.name!r} duration must be an integer, got {event.duration!r}")
         if event.duration < 1:
             raise ValueError(f"event {event.name!r} duration must be >= 1")
+        if event.label is not None and not isinstance(event.label, str):
+            raise ValueError(f"event {event.name!r} label must be a string, got {event.label!r}")
         if event.label is not None and has_control_character(event.label):
             raise ValueError(f"event {event.name!r} label contains a control character")
     for decl in behavior:
+        if not isinstance(decl.kind, str):
+            raise ValueError(f"behavior kind must be a string, got {decl.kind!r}")
+        if decl.bound is not None and not _is_int(decl.bound):
+            raise ValueError(f"repeat bound must be an integer, got {decl.bound!r}")
         for name in (decl.source, *decl.targets):
             if name is not None and name not in event_decls:
                 raise UnknownEntityError(f"behavior references unknown event {name!r}")
     if not model.frozen:
         model.freeze()
     return ModelDocument(model, region_decls, event_decls, tuple(behavior), {}, source)
+
+
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: what a duration or a bound must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # -- lexer ------------------------------------------------------------------
@@ -725,6 +744,12 @@ class _Linker:
         return node_id
 
     def link_flow(self, item: _FlowItem) -> None:
+        if item.thing is not None:
+            try:
+                validate_name(item.thing)
+            except InvalidNameError as exc:
+                self.note("P5", str(exc), item.span)
+                return
         src = self.endpoint(item.src, item.span, stages_only=False)
         dst = self.endpoint(item.dst, item.span, stages_only=False)
         if src is None or dst is None:

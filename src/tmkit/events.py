@@ -76,10 +76,19 @@ class Group:
     members: tuple[str, ...]
 
 
+_Action = tuple[str, str | None, Group | int | None]  # see BehaviorGraph
+
+
 @dataclass(slots=True)
 class BehaviorGraph:
     """Events and the edges between them. The per-event indexes are built once,
-    in __post_init__, so the simulator's lookups never scan the edge list."""
+    in __post_init__, so the simulator's lookups never scan the edge list.
+
+    Two of them are the tables the simulator's tick kernel reads: `_durations`
+    (event -> duration) and `_actions` (event -> what its completion does, one
+    `(kind, target, arg)` per outbound edge in declaration order, where kind is
+    the edge kind's value and arg the repeat bound; a choice group is one
+    action, `("choice", None, group)`, at the place of its first edge)."""
 
     events: dict[str, Event]
     edges: tuple[BehaviorEdge, ...]
@@ -89,6 +98,8 @@ class BehaviorGraph:
     _out_edges: dict[str, tuple[BehaviorEdge, ...]] = field(init=False, repr=False, compare=False)
     _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _groups_by_id: dict[str, Group] = field(init=False, repr=False, compare=False)
+    _durations: dict[str, int] = field(init=False, repr=False, compare=False)
+    _actions: dict[str, tuple[_Action, ...]] = field(init=False, repr=False, compare=False)
     _digest: str | None = field(init=False, default=None, repr=False, compare=False)  # see cached_digest
 
     def __post_init__(self) -> None:
@@ -102,8 +113,21 @@ class BehaviorGraph:
         self._out_edges = {name: tuple(found) for name, found in out.items()}
         self._predecessors = {name: tuple(sorted(found)) for name, found in preds.items()}
         self._groups_by_id = {group.group_id: group for group in self.groups}
+        self._durations = {name: event.duration for name, event in self.events.items()}
+        self._actions = {name: self._edge_actions(found) for name, found in self._out_edges.items()}
         self.initial = frozenset(name for name in self.events if name not in preds)
         self.terminal = frozenset(name for name in self.events if name not in out)
+
+    def _edge_actions(self, edges: tuple[BehaviorEdge, ...]) -> tuple[_Action, ...]:
+        actions: list[_Action] = []
+        chosen: set[str] = set()
+        for edge in edges:
+            if edge.kind is not BehaviorEdgeKind.CHOICE:
+                actions.append((edge.kind.value, edge.target, edge.bound))
+            elif edge.group not in chosen:  # one pick per group, whatever its size
+                chosen.add(edge.group)
+                actions.append((edge.kind.value, None, self._groups_by_id[edge.group]))
+        return tuple(actions)
 
     def cached_digest(self, compute: Callable[[BehaviorGraph], str]) -> str:
         """The graph's content digest, compute(self), computed on the first
@@ -153,7 +177,10 @@ def define_event(
 ) -> Event:
     """Carve an event out of the model. The region must pass the error rules
     (a disconnected region is allowed with a warning; empty or split ones are
-    not) and the duration must be at least one tick."""
+    not) and the duration must be a whole number of ticks, at least one."""
+    if isinstance(duration, bool) or not isinstance(duration, int):
+        message = f"duration must be an integer, got {duration!r}"
+        raise EventError(message, [make("P5", message, subject=name)])
     if duration < 1:
         message = f"duration must be >= 1, got {duration}"
         raise EventError(message, [make("P5", message, subject=name)])

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import uuid
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from tmkit.dsl import BehaviorDecl, EventDecl, ModelDocument, document_from_parts
 from tmkit.events import BehaviorGraph
@@ -200,7 +200,7 @@ def model_to_json(
     event is a node of the behavior graph, so import_json needs them."""
     if not document.model.frozen:
         raise ExportError("model must be frozen before export")
-    model, s, v = document.model, _string, _value
+    model, s, v = document.model, _string, json.dumps
     fields = {
         "schema": s(MODEL_SCHEMA_ID),
         "machines": _records(
@@ -365,15 +365,23 @@ def trace_to_json(trace: SimTrace, behavior: BehaviorGraph, model: StaticModel) 
         return "".join(parts)
     parts.append('  "ticks": [\n')
     ticks = []
+    previous_live: tuple[str, ...] | None = None
+    live = ""
     for snap in trace.ticks:
-        choices = [
-            f'        {{\n          "chosen": {_string(c)},\n          "group": {_string(g)}\n        }}'
-            for g, c in snap.choices
-        ]
+        if snap.live is not previous_live:  # run() hands on the live tuple of a tick that archived nothing
+            previous_live, live = snap.live, _string_list(snap.live)
+        choices = "[]"
+        if snap.choices:
+            choices = _block(
+                [
+                    f'        {{\n          "chosen": {_string(c)},\n          "group": {_string(g)}\n        }}'
+                    for g, c in snap.choices
+                ]
+            )
         ticks.append(
             f'    {{\n      "archived": {_string_list(snap.archived)},\n'
-            f'      "choices": {_block(choices)},\n'
-            f'      "live": {_string_list(snap.live)},\n'
+            f'      "choices": {choices},\n'
+            f'      "live": {live},\n'
             f'      "tick": {snap.tick}\n    }}'
         )
     parts.append(",\n".join(ticks))
@@ -384,18 +392,11 @@ def trace_to_json(trace: SimTrace, behavior: BehaviorGraph, model: StaticModel) 
 _string = json.encoder.encode_basestring_ascii
 
 
-def _value(value: object) -> str:
-    """A record field's value. import_json takes any JSON for labels, flow
-    things, durations, bounds and behavior kinds, and they are written back
-    as json.dumps would nest them."""
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
-    return json.dumps(value)
-
-
-def _string_list(items: Iterable[str]) -> str:
+def _string_list(items: Sequence[str]) -> str:
     """A list of strings at the nesting depth of a tick's or a record's fields."""
-    return _block([f"        {_string(item)}" for item in items])
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_string, items)) + "\n      ]"
 
 
 def _block(lines: list[str], close: str = "\n      ]") -> str:

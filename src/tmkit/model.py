@@ -26,6 +26,7 @@ adjacency table is the validator's job.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -123,15 +124,19 @@ class Region:
     connected: bool
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+_NOT_IN_NAME = re.compile(r'[."\x00-\x1f\x7f]')  # dots, quotes, control characters
+
+
 def has_control_character(text: str) -> bool:
-    return any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in text)
+    return _CONTROL.search(text) is not None
 
 
 def validate_name(name: str) -> str:
     """Names must be printable, dot-free, quote-free, and not reserved."""
     if not name:
         raise InvalidNameError("name must not be empty")
-    if any(ch in name for ch in '."') or has_control_character(name):
+    if _NOT_IN_NAME.search(name):
         raise InvalidNameError(f"name contains a forbidden character: {name!r}")
     if name == ROOT_NAME:
         raise InvalidNameError(f"{ROOT_NAME!r} names the root machine and is reserved")

@@ -10,10 +10,21 @@ Lifecycle of an event instance:
   * an instance is also archived early, mid-processing, when a successor
     event's receive erupts: its end is the successor's receive tick (cutoff).
 
-step() is pure: it builds a new SimState and never mutates its input. The
-record is a persistent chain of per-tick chunks: a step that archives
+One tick function, _tick, carries these semantics; step() and run() are its
+two drivers. _tick works in place on a live map (event -> iid, generation,
+start), a due-tick calendar (tick -> events that may complete at it; the
+entry of an instance archived early is skipped when its tick comes) and the
+per-event generation counts, and it builds an EventInstance only when it
+archives one. step() is pure: it copies a SimState into those structures,
+makes every live instance a candidate for completion, and wraps the result in
+a new SimState, never mutating its input. run() drives _tick directly, with
+no SimState per tick. A tick that archives nothing starts nothing either, so
+run() then hands on the previous live tuple: ticks[i].live may be the very
+tuple object of ticks[i-1].live.
+
+The record is a persistent chain of per-tick chunks: a tick that archives
 something adds one chunk in front of the old chain and shares the rest, so a
-step costs what that tick archives, not what the run has archived so far, and
+tick costs what it archives, not what the run has archived so far, and
 histories that branch from one state stay independent. All iteration is over
 sorted or declared orders, so runs are bit-reproducible.
 
@@ -48,6 +59,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 from tmkit.events import BehaviorEdgeKind, BehaviorGraph, Group
 
@@ -219,12 +231,13 @@ def _choose(
     return chosen, rng_state, script_pos + 1
 
 
-def _sorted_instances(instances: list[EventInstance]) -> list[EventInstance]:
-    return sorted(instances, key=lambda i: (i.event, i.generation))
+def _archived(event: str, entry: tuple[str, int, int], duration: int, end: int) -> EventInstance:
+    iid, generation, start = entry
+    return EventInstance(iid, event, generation, start, duration, end)
 
 
-def _archived(inst: EventInstance, end: int) -> EventInstance:
-    return EventInstance(inst.iid, inst.event, inst.generation, inst.start, inst.duration, end)
+_EVENT = attrgetter("event")
+_IID = attrgetter("iid")
 
 
 def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
@@ -257,92 +270,109 @@ def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
     return SimState(0, live, RecordStore(), generations, rng_state, script_pos, False, tuple(choices))
 
 
+def _tick(
+    t: int,
+    live: dict[str, tuple[str, int, int]],
+    calendar: dict[int, list[str]],
+    generations: dict[str, int],
+    behavior: BehaviorGraph,
+    policy: ChoicePolicy,
+    rng_state: int,
+    script_pos: int,
+    terminal_hit: bool,
+) -> tuple[list[EventInstance], tuple[tuple[str, str], ...], int, int, bool]:
+    """Advance to tick t in place: complete, fire successors, cut off, archive.
+
+    `live` maps each event to its live instance as (iid, generation, start),
+    and `calendar` maps a tick to the events that may complete at it. An entry
+    whose instance has left `live`, or has not run its duration, is skipped.
+    Returns the instances archived at t, in record order, the choices taken,
+    and the new rng state, script position and terminal flag. Raises what the
+    policy raises, with `live`, `calendar` and `generations` part-changed."""
+    durations = behavior._durations
+    completed = sorted(
+        event for event in calendar.pop(t, ()) if event in live and t - live[event][2] >= durations[event]
+    )
+    if not completed:
+        return [], (), rng_state, script_pos, terminal_hit
+    archived = [_archived(event, live.pop(event), durations[event], t) for event in completed]
+    if not terminal_hit:
+        terminal_hit = not behavior.terminal.isdisjoint(completed)
+
+    # Gather instantiation requests in deterministic order.
+    actions = behavior._actions
+    choices: list[tuple[str, str]] = []
+    requests: list[tuple[str, bool]] = []  # (event, via repeat)
+    for event in completed:
+        for kind, target, arg in actions.get(event, ()):
+            if kind == "choice":
+                chosen, rng_state, script_pos = _choose(policy, arg, rng_state, script_pos)
+                choices.append((arg.group_id, chosen))
+                requests.append((chosen, False))
+            elif kind != "repeat":  # sequence, concurrent
+                requests.append((target, False))
+            elif arg is not None and generations.get(target, 0) >= arg:
+                continue  # bound exhausted: the stream ends
+            elif arg is None and terminal_hit:
+                continue  # race resolved: a terminal event has completed
+            else:
+                requests.append((target, True))
+
+    predecessors = behavior._predecessors
+    for target, via_repeat in requests:
+        previous = live.get(target)
+        if previous is not None:
+            if previous[2] == t or not via_repeat:
+                continue  # started this tick, or already live: one instance per event
+            # Repeat replaces: archive the previous generation at the new receive.
+            del live[target]
+            archived.append(_archived(target, previous, durations[target], t))
+        generation = generations.get(target, 0) + 1
+        generations[target] = generation
+        live[target] = (f"{target}#{generation}", generation, t)
+        calendar.setdefault(t + durations[target], []).append(target)
+        # Cutoff: the new receive archives still-processing predecessors.
+        for pred in predecessors.get(target, ()):
+            old = live.get(pred)
+            if old is not None and old[2] < t:
+                del live[pred]
+                archived.append(_archived(pred, old, durations[pred], t))
+
+    archived.sort(key=_EVENT)  # an event is archived at most once per tick
+    return archived, tuple(choices), rng_state, script_pos, terminal_hit
+
+
+def _live_entries(state: SimState) -> dict[str, tuple[str, int, int]]:
+    return {event: (inst.iid, inst.generation, inst.start) for event, inst in state.live.items()}
+
+
+def _live_ids(live: dict[str, tuple[str, int, int]]) -> tuple[str, ...]:
+    return tuple([live[event][0] for event in sorted(live)])
+
+
 def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
     """Advance one tick: complete, fire successors, cut off, archive."""
     if not state.live:
         raise SimulationError("nothing is live; the run has ended")
     t = state.tick + 1
-
-    live = dict(state.live)
-
-    completed = [live[name] for name in sorted(live) if t - live[name].start >= live[name].duration]
-    for inst in completed:
-        del live[inst.event]
-    terminal_hit = state.terminal_hit or any(i.event in behavior.terminal for i in completed)
-
+    live = _live_entries(state)
     generations = dict(state.generations)
-    rng_state = state.rng_state
-    script_pos = state.script_pos
-    choices: list[tuple[str, str]] = []
-    archived: list[EventInstance] = [_archived(i, t) for i in completed]
-
-    # Gather instantiation requests in deterministic order.
-    requests: list[tuple[str, bool]] = []  # (event, via repeat)
-    resolved_groups: set[str] = set()
-    for inst in completed:
-        for edge in behavior.out_edges(inst.event):
-            if edge.kind in (BehaviorEdgeKind.SEQUENCE, BehaviorEdgeKind.CONCURRENT):
-                requests.append((edge.target, False))
-            elif edge.kind is BehaviorEdgeKind.CHOICE:
-                if edge.group in resolved_groups:
-                    continue
-                resolved_groups.add(edge.group or "")
-                group = behavior.group(edge.group)
-                chosen, rng_state, script_pos = _choose(policy, group, rng_state, script_pos)
-                choices.append((group.group_id, chosen))
-                requests.append((chosen, False))
-            else:  # repeat
-                next_gen = generations.get(edge.target, 0) + 1
-                if edge.bound is not None and next_gen > edge.bound:
-                    continue  # bound exhausted: the stream ends
-                if edge.bound is None and terminal_hit:
-                    continue  # race resolved: a terminal event has completed
-                requests.append((edge.target, True))
-
-    created: set[str] = set()
-    for target, via_repeat in requests:
-        if target in created:
-            continue
-        previous = live.get(target)
-        if previous is not None:
-            if not via_repeat:
-                continue  # already live; at most one instance per event
-            # Repeat replaces: archive the previous generation at the new receive.
-            del live[target]
-            archived.append(_archived(previous, t))
-        generation = generations.get(target, 0) + 1
-        generations[target] = generation
-        live[target] = EventInstance(
-            f"{target}#{generation}",
-            target,
-            generation,
-            start=t,
-            duration=behavior.events[target].duration,
-        )
-        created.add(target)
-        # Cutoff: the new receive archives still-processing predecessors.
-        for pred in behavior.sorted_predecessors(target):
-            old = live.get(pred)
-            if old is not None and old.start < t:
-                del live[pred]
-                archived.append(_archived(old, t))
-
-    archived = _sorted_instances(archived)
-    return SimState(
-        t,
-        live,
-        state.record.extended(archived),
-        generations,
-        rng_state,
-        script_pos,
-        terminal_hit,
-        tuple(choices),
+    # Every live instance is a candidate: _tick completes those that are due.
+    archived, choices, rng_state, script_pos, terminal_hit = _tick(
+        t, live, {t: list(live)}, generations, behavior, policy,
+        state.rng_state, state.script_pos, state.terminal_hit,
     )
-
-
-def _snapshot(state: SimState, archived: tuple[EventInstance, ...] = ()) -> TickSnapshot:
-    live = tuple(inst.iid for inst in _sorted_instances(list(state.live.values())))
-    return TickSnapshot(state.tick, live, tuple(inst.iid for inst in archived), state.choices)
+    durations = behavior._durations
+    kept = state.live
+    instances = {
+        event: kept[event]
+        if event in kept and kept[event].iid == iid
+        else EventInstance(iid, event, generation, start, durations[event])
+        for event, (iid, generation, start) in live.items()
+    }
+    return SimState(
+        t, instances, state.record.extended(archived), generations, rng_state, script_pos, terminal_hit, choices
+    )
 
 
 def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int | None = None) -> SimTrace:
@@ -350,29 +380,37 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     trace_seed = policy.seed if isinstance(policy, SeededRandom) else seed
-    snapshots: list[TickSnapshot] = []
     try:
         state = init(behavior, policy)
     except ScriptedExhaustedError:
         return SimTrace(policy.describe(), trace_seed, horizon, (), "scripted-exhausted", RecordStore())
-    snapshots.append(_snapshot(state))
-    termination: str
-    while True:
-        if not state.live:
-            termination = "terminal-reached" if state.terminal_hit else "deadlock"
-            break
-        if state.tick >= horizon:
-            termination = "horizon"
-            break
-        previous = state.record
+    live = _live_entries(state)
+    calendar: dict[int, list[str]] = {}
+    for event, (_, _, start) in live.items():
+        calendar.setdefault(start + behavior._durations[event], []).append(event)
+    generations, record = state.generations, state.record
+    rng_state, script_pos, terminal_hit = state.rng_state, state.script_pos, state.terminal_hit
+    live_ids = _live_ids(live)
+    snapshots = [TickSnapshot(0, live_ids, (), state.choices)]
+    t = 0
+    while live and t < horizon:
+        t += 1
         try:
-            state = step(state, behavior, policy)
+            archived, choices, rng_state, script_pos, terminal_hit = _tick(
+                t, live, calendar, generations, behavior, policy, rng_state, script_pos, terminal_hit
+            )
         except ScriptedExhaustedError:
             termination = "scripted-exhausted"
             break
-        newly = state.record.chunk if state.record is not previous else ()
-        snapshots.append(_snapshot(state, newly))
-    return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, state.record)
+        if archived:
+            record = record.extended(archived)
+            live_ids = _live_ids(live)
+            snapshots.append(TickSnapshot(t, live_ids, tuple(map(_IID, archived)), choices))
+        else:  # nothing completed, so nothing started: the live set is the same
+            snapshots.append(TickSnapshot(t, live_ids, (), ()))
+    else:
+        termination = "horizon" if live else "terminal-reached" if terminal_hit else "deadlock"
+    return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, record)
 
 
 @dataclass(frozen=True, slots=True)

@@ -173,6 +173,19 @@ def test_names_with_literal_quotes_are_invalid():
     assert "P5" in codes(result)
 
 
+def test_flow_things_are_names():
+    # As for storages, machines, regions and events: no dots, quotes or
+    # reserved words; the P5 sits at the flow statement.
+    head = "machine a { stage create; stage release; }\n"
+    for thing in ('"a.b\\"c"', '"x.y"', '"say \\"hi\\""', "create"):
+        flow = f"flow {thing}: a.create -> a.release;"
+        result = parse(head + flow, "f")
+        assert codes(result) == ["P5"], thing
+        span = result.diagnostics[0].span
+        assert (span.line, span.column, span.start, span.end) == (2, 1, len(head), len(head + flow)), thing
+    assert parse(head + 'flow "odd thing": a.create -> a.release;').ok
+
+
 def test_labels_may_carry_quotes():
     result = parse(
         "machine a { stage create; }\nregion r = { a };\n"

@@ -68,6 +68,10 @@ def test_event_allows_disconnected_region():
 def test_event_duration_must_be_positive():
     with pytest.raises(EventError):
         define_event(chain_model(), "Ezero", ["a.create"], duration=0)
+    for duration in (2.5, True):  # a whole number of ticks, and not a bool
+        with pytest.raises(EventError, match="must be an integer") as caught:
+            define_event(chain_model(), "Eodd", ["a.create"], duration=duration)
+        assert [d.code for d in caught.value.findings] == ["P5"]
 
 
 def two_events():

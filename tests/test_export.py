@@ -106,18 +106,6 @@ def test_model_json_escapes_any_name_label_and_thing(names, labels, things, dura
     assert_model_json_is_the_json_module_form(document_from_parts(model, regions, events, behavior))
 
 
-def test_model_json_writes_back_loosely_typed_fields(corpus):
-    # import_json takes any JSON for these fields; they come back nested as
-    # json.dumps nests them.
-    payload = json.loads(model_to_json(corpus["eating"], True, True))
-    payload["flows"][0]["thing"] = {"b": [1, {"z": None, "a": 2.5}], "a": []}
-    event = payload["events"][min(payload["events"])]
-    event["label"], event["duration"] = ["x", "\u00e9", '"'], True
-    payload["behavior"][0]["bound"] = {"k": [True, None, "\\"]}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert model_to_json(import_json(text), True, True) == text
-
-
 def test_trace_json_is_schema_valid(corpus):
     document = corpus["eating"]
     _, graph, _ = build_from_document(document)
@@ -150,8 +138,14 @@ def test_trace_json_matches_the_json_module_on_random_graphs(seed, horizon):
     rng = random.Random(seed)
     graph = make_random_behavior(rng)
     model = next(iter(graph.events.values())).model
-    text = trace_to_json(run(graph, make_random_policy(rng), horizon), graph, model)
+    trace = run(graph, make_random_policy(rng), horizon)
+    text = trace_to_json(trace, graph, model)
     assert text == json_module_form(text)
+    # The ticks say what the trace says, a live list handed on unchanged included.
+    assert [
+        (t["tick"], tuple(t["live"]), tuple(t["archived"]), tuple((c["group"], c["chosen"]) for c in t["choices"]))
+        for t in json.loads(text)["ticks"]
+    ] == [(s.tick, s.live, s.archived, s.choices) for s in trace.ticks]
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,7 +197,7 @@ def test_reimport_random_documents():
         assert model_to_json(clone, True, True) == text
 
 
-def test_import_rejects_wrong_or_broken_payloads():
+def test_import_rejects_wrong_or_broken_payloads(corpus):
     with pytest.raises(ExportError):
         import_json("not even json")
     with pytest.raises(ExportError, match="not JSON"):  # json.loads raises a bare ValueError
@@ -214,6 +208,26 @@ def test_import_rejects_wrong_or_broken_payloads():
         import_json(json.dumps({"schema": "tm-trace/1"}))
     with pytest.raises(ExportError):
         import_json(json.dumps({"schema": "tm-model/1", "machines": [{"broken": 1}]}))
+    # Fields the text form cannot hold: formatted, they would not parse again,
+    # or the formatter would raise.
+    text = model_to_json(corpus["eating"], True, True)
+    event = min(json.loads(text)["events"])
+    for (*parents, key), value in (
+        (("events", event, "duration"), 2.5),
+        (("events", event, "duration"), True),
+        (("events", event, "label"), ["x"]),
+        (("behavior", 0, "bound"), 1.5),
+        (("behavior", 0, "bound"), False),
+        (("behavior", 0, "kind"), 7),
+        (("flows", 0, "thing"), {"x": 1}),
+    ):
+        payload = json.loads(text)
+        parent = payload
+        for part in parents:
+            parent = parent[part]
+        parent[key] = value
+        with pytest.raises(ExportError, match="must be"):
+            import_json(json.dumps(payload))
 
 
 def test_export_json_requires_frozen_model():

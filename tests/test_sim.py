@@ -19,8 +19,10 @@ from tmkit import (
     ScriptedExhaustedError,
     Scripted,
     SeededRandom,
+    SimState,
     SimulationError,
     StaticModel,
+    TickSnapshot,
     build_behavior,
     build_from_document,
     define_event,
@@ -317,6 +319,110 @@ def test_branches_from_one_state_keep_their_own_records(seed, prefix, length):
         assert len(state.record) == len(entries)
         assert list(entries) == sorted(entries, key=lambda i: (i.end, i.event, i.generation))
         assert entries[: len(before)] == before
+
+
+def live_ids(state):
+    return tuple(inst.iid for inst in sorted(state.live.values(), key=lambda i: (i.event, i.generation)))
+
+
+def run_by_steps(graph, policy, horizon, state):
+    """run()'s ticks after `state`, its termination and its record, worked
+    out with step() alone; a policy error is returned, not raised."""
+    ticks = []
+    while state.live and state.tick < horizon:
+        try:
+            after = step(state, graph, policy)
+        except ScriptedExhaustedError:
+            return ticks, "scripted-exhausted", state.record.entries
+        except SimulationError as exc:
+            return ticks, repr(exc), None
+        archived = after.record.entries[len(state.record) :]
+        ticks.append(TickSnapshot(after.tick, live_ids(after), tuple(i.iid for i in archived), after.choices))
+        state = after
+    termination = "horizon" if state.live else "terminal-reached" if state.terminal_hit else "deadlock"
+    return ticks, termination, state.record.entries
+
+
+def run_or_error(graph, policy, horizon):
+    try:
+        trace = run(graph, policy, horizon)
+    except SimulationError as exc:
+        return None, repr(exc)
+    return trace, trace.termination
+
+
+def diverging_script(graph, rng, horizon):
+    """The picks of a random run under another seed, cut short at random and
+    sometimes shuffled: the script may run dry or name an event that is not a
+    member of the group it is asked about."""
+    other = run(graph, SeededRandom(rng.randrange(2**32)), horizon)
+    picks = [chosen for snap in other.ticks for _, chosen in snap.choices]
+    if rng.random() < 0.5:
+        rng.shuffle(picks)
+    return Scripted(tuple(picks[: rng.randint(0, len(picks))]))
+
+
+def assert_step_folds_to_run(seed, horizon, policy_kind):
+    """Folding step() from init() gives run()'s trace, and so does stepping a
+    copy of a state taken mid-run. Returns the termination, the number of
+    ticks, and whether the copy held an instance started before its tick."""
+    rng = random.Random(seed)
+    graph = make_random_behavior(rng, endless=rng.random() < 0.3, start_groups=True)
+    policy = {
+        "first": FirstDeclared(),
+        "random": SeededRandom(rng.randrange(2**32)),
+        "script": diverging_script(graph, rng, horizon),
+    }[policy_kind]
+    trace, termination = run_or_error(graph, policy, horizon)
+    try:
+        state = init(graph, policy)
+    except ScriptedExhaustedError:
+        assert trace.ticks == () and termination == "scripted-exhausted"
+        return termination, 0, False
+    except SimulationError as exc:
+        assert trace is None and termination == repr(exc)
+        return termination, 0, False
+    ticks, folded, entries = run_by_steps(graph, policy, horizon, state)
+    assert folded == termination
+    if trace is None:
+        return termination, len(ticks) + 1, False
+    assert (TickSnapshot(0, live_ids(state), (), state.choices), *ticks) == trace.ticks
+    assert entries == trace.record.entries
+    # A state from mid-run, rebuilt from its fields alone, goes on as run() did.
+    cut = rng.randint(0, len(ticks))
+    for _ in range(cut):
+        state = step(state, graph, policy)
+    copy = SimState(
+        state.tick,
+        dict(state.live),
+        RecordStore().extended(list(state.record.entries)),
+        dict(state.generations),
+        state.rng_state,
+        state.script_pos,
+        state.terminal_hit,
+        state.choices,
+    )
+    rest, folded, entries = run_by_steps(graph, policy, horizon, copy)
+    assert tuple(rest) == trace.ticks[cut + 1 :]
+    assert (folded, entries) == (termination, trace.record.entries)
+    return termination, len(trace.ticks), any(i.start < copy.tick for i in copy.live.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(("first", "random", "script")))
+def test_step_folded_from_init_is_run(seed, horizon, policy_kind):
+    assert_step_folds_to_run(seed, horizon, policy_kind)
+
+
+def test_the_fold_meets_every_termination():
+    found = [
+        assert_step_folds_to_run(seed, 1 + seed % 30, policy_kind)
+        for seed in range(60)
+        for policy_kind in ("first", "random", "script")
+    ]
+    assert {"horizon", "terminal-reached", "deadlock"} <= {termination for termination, _, _ in found}
+    assert any(termination == "scripted-exhausted" and ticks > 1 for termination, ticks, _ in found)
+    assert any(started_earlier for _, _, started_earlier in found)
 
 
 def test_record_chain_compares_hashes_and_frees_without_recursion():
