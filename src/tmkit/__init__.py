@@ -29,11 +29,9 @@ from tmkit.dsl import (
 from tmkit.events import (
     BehaviorEdge,
     BehaviorEdgeKind,
-    BehaviorError,
     BehaviorGraph,
     CoverageReport,
     Event,
-    EventError,
     build_behavior,
     build_from_document,
     coverage,
@@ -116,7 +114,6 @@ __all__ = [
     "BehaviorDecl",
     "BehaviorEdge",
     "BehaviorEdgeKind",
-    "BehaviorError",
     "BehaviorGraph",
     "CATALOGUE",
     "CoverageReport",
@@ -125,7 +122,6 @@ __all__ = [
     "DuplicateEntityError",
     "Event",
     "EventDecl",
-    "EventError",
     "EventInstance",
     "ExportError",
     "FirstDeclared",

@@ -121,11 +121,13 @@ def document_from_parts(
     source: str = "<built>",
 ) -> ModelDocument:
     """Assemble a document programmatically; raises UnknownEntityError on
-    dangling references and ValueError on a field of the wrong type or range:
-    durations and bounds are ints (not bools), labels, behavior kinds and
-    flow things strings."""
+    dangling references and ValueError on a field the text form cannot hold:
+    region and event names must pass validate_name, durations and bounds are
+    ints (not bools), labels and flow things strings, and a behavior kind is
+    one of seq, choice, concurrent and repeat."""
     region_decls: dict[str, RegionDecl] = {}
     for name, stage_ids in (regions or {}).items():
+        _check_name("region", name)
         for stage_id in stage_ids:
             if stage_id not in model.stages:
                 raise UnknownEntityError(f"region {name!r} references unknown stage {stage_id!r}")
@@ -134,7 +136,8 @@ def document_from_parts(
         if flow.thing is not None and not isinstance(flow.thing, str):
             raise ValueError(f"flow {flow.id} thing must be a string, got {flow.thing!r}")
     event_decls = dict(events or {})
-    for event in event_decls.values():
+    for name, event in event_decls.items():
+        _check_name("event", name)
         if event.region not in region_decls:
             raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
         if not _is_int(event.duration):
@@ -146,8 +149,8 @@ def document_from_parts(
         if event.label is not None and has_control_character(event.label):
             raise ValueError(f"event {event.name!r} label contains a control character")
     for decl in behavior:
-        if not isinstance(decl.kind, str):
-            raise ValueError(f"behavior kind must be a string, got {decl.kind!r}")
+        if decl.kind not in ("seq", "choice", "concurrent", "repeat"):
+            raise ValueError(f"behavior kind must be seq, choice, concurrent or repeat, got {decl.kind!r}")
         if decl.bound is not None and not _is_int(decl.bound):
             raise ValueError(f"repeat bound must be an integer, got {decl.bound!r}")
         for name in (decl.source, *decl.targets):
@@ -156,6 +159,13 @@ def document_from_parts(
     if not model.frozen:
         model.freeze()
     return ModelDocument(model, region_decls, event_decls, tuple(behavior), {}, source)
+
+
+def _check_name(what: str, name: str) -> None:
+    try:
+        validate_name(name)
+    except InvalidNameError as exc:
+        raise ValueError(f"{what} name must be a valid name: {exc}") from None
 
 
 def _is_int(value: object) -> bool:

@@ -12,8 +12,11 @@ a source event; choice/concurrent statements written without a source describe
 how the initial events start. Terminal events have no outbound edges at all:
 an event that only repeats is not terminal.
 
-`eventize` reports faults as diagnostics: R1/R2/R3 spanned by the event
-declaration, B1 spanned by the offending behavior statement.
+`define_event`, `build_behavior` and `eventize` return their faults as
+diagnostics, never as exceptions: `define_event` the P5 (duration) and
+R1/R2/R3 (region) findings, `build_behavior` one B1 spanned at the statement
+at fault, and `eventize` both, region findings spanned at the event
+declaration. `build_from_document` raises ValueError for the first error.
 """
 from __future__ import annotations
 
@@ -25,22 +28,6 @@ from tmkit.diagnostics import Diagnostic, has_errors, make
 from tmkit.dsl import BehaviorDecl, ModelDocument
 from tmkit.model import Region, StaticModel
 from tmkit.validate import check_region
-
-
-class EventError(Exception):
-    """A region or duration a valid event cannot have; `findings` says why."""
-
-    def __init__(self, message: str, findings: Sequence[Diagnostic] = ()):
-        super().__init__(message)
-        self.findings = tuple(findings)
-
-
-class BehaviorError(Exception):
-    """A behavior that cannot run; `decl` is the statement at fault, when known."""
-
-    def __init__(self, message: str, decl: BehaviorDecl | None = None):
-        super().__init__(message)
-        self.decl = decl
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -97,7 +84,6 @@ class BehaviorGraph:
     terminal: frozenset[str] = field(init=False)
     _out_edges: dict[str, tuple[BehaviorEdge, ...]] = field(init=False, repr=False, compare=False)
     _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _groups_by_id: dict[str, Group] = field(init=False, repr=False, compare=False)
     _durations: dict[str, int] = field(init=False, repr=False, compare=False)
     _actions: dict[str, tuple[_Action, ...]] = field(init=False, repr=False, compare=False)
     _digest: str | None = field(init=False, default=None, repr=False, compare=False)  # see cached_digest
@@ -112,22 +98,21 @@ class BehaviorGraph:
                     preds.setdefault(edge.target, set()).add(edge.source)
         self._out_edges = {name: tuple(found) for name, found in out.items()}
         self._predecessors = {name: tuple(sorted(found)) for name, found in preds.items()}
-        self._groups_by_id = {group.group_id: group for group in self.groups}
         self._durations = {name: event.duration for name, event in self.events.items()}
-        self._actions = {name: self._edge_actions(found) for name, found in self._out_edges.items()}
+        groups_by_id = {group.group_id: group for group in self.groups}
+        self._actions = {}
+        for name, found in self._out_edges.items():
+            actions: list[_Action] = []
+            chosen: set[str] = set()
+            for edge in found:
+                if edge.kind is not BehaviorEdgeKind.CHOICE:
+                    actions.append((edge.kind.value, edge.target, edge.bound))
+                elif edge.group not in chosen:  # one pick per group, whatever its size
+                    chosen.add(edge.group)
+                    actions.append((edge.kind.value, None, groups_by_id[edge.group]))
+            self._actions[name] = tuple(actions)
         self.initial = frozenset(name for name in self.events if name not in preds)
         self.terminal = frozenset(name for name in self.events if name not in out)
-
-    def _edge_actions(self, edges: tuple[BehaviorEdge, ...]) -> tuple[_Action, ...]:
-        actions: list[_Action] = []
-        chosen: set[str] = set()
-        for edge in edges:
-            if edge.kind is not BehaviorEdgeKind.CHOICE:
-                actions.append((edge.kind.value, edge.target, edge.bound))
-            elif edge.group not in chosen:  # one pick per group, whatever its size
-                chosen.add(edge.group)
-                actions.append((edge.kind.value, None, self._groups_by_id[edge.group]))
-        return tuple(actions)
 
     def cached_digest(self, compute: Callable[[BehaviorGraph], str]) -> str:
         """The graph's content digest, compute(self), computed on the first
@@ -145,19 +130,12 @@ class BehaviorGraph:
         """Events whose completion can instantiate `event` (repeat excluded)."""
         return frozenset(self._predecessors.get(event, ()))
 
-    def sorted_predecessors(self, event: str) -> tuple[str, ...]:
-        """predecessors(event) in sorted order, without building a set."""
-        return self._predecessors.get(event, ())
-
-    def group(self, group_id: str) -> Group:
-        return self._groups_by_id[group_id]
-
     def start_groups(self) -> tuple[Group, ...]:
         return tuple(g for g in self.groups if g.source is None)
 
     def reachable_events(self, root: str) -> frozenset[str]:
         if root not in self.events:
-            raise BehaviorError(f"unknown event {root!r}")
+            raise ValueError(f"unknown event {root!r}")
         seen = {root}
         frontier = [root]
         while frontier:
@@ -174,29 +152,29 @@ def define_event(
     stage_ids: Iterable[str],
     duration: int = 1,
     label: str | None = None,
-) -> Event:
-    """Carve an event out of the model. The region must pass the error rules
-    (a disconnected region is allowed with a warning; empty or split ones are
-    not) and the duration must be a whole number of ticks, at least one."""
+) -> tuple[Event | None, list[Diagnostic]]:
+    """Carve an event out of the model, with the findings about it: P5 on a
+    duration that is not a whole number of ticks, at least one, and the
+    R1/R2/R3 findings of its region. A disconnected region (R2) is only a
+    warning; on an error the event is None."""
     if isinstance(duration, bool) or not isinstance(duration, int):
-        message = f"duration must be an integer, got {duration!r}"
-        raise EventError(message, [make("P5", message, subject=name)])
+        return None, [make("P5", f"duration must be an integer, got {duration!r}", subject=name)]
     if duration < 1:
-        message = f"duration must be >= 1, got {duration}"
-        raise EventError(message, [make("P5", message, subject=name)])
+        return None, [make("P5", f"duration must be >= 1, got {duration}", subject=name)]
     members = frozenset(stage_ids)
     region = model.subdiagram(members) if members else None
     findings = check_region(model, members, name, region)
     if has_errors(findings):
-        first = next(d for d in findings if d.is_error)
-        raise EventError(
-            f"region of event {name!r} is invalid: {first.code}: {first.message}", findings
-        )
-    return Event(name, region, duration, model, label)
+        return None, findings
+    return Event(name, region, duration, model, label), findings
 
 
-def build_behavior(events: Mapping[str, Event], decls: Sequence[BehaviorDecl]) -> BehaviorGraph:
-    """Connect events along declared statements and validate the result."""
+def build_behavior(
+    events: Mapping[str, Event], decls: Sequence[BehaviorDecl]
+) -> tuple[BehaviorGraph | None, list[Diagnostic]]:
+    """Connect events along declared statements and validate the result. A
+    behavior that cannot run is one B1, spanned at the statement at fault,
+    and no graph."""
     edges: list[BehaviorEdge] = []
     groups: list[Group] = []
     choice_seq = 0
@@ -205,18 +183,18 @@ def build_behavior(events: Mapping[str, Event], decls: Sequence[BehaviorDecl]) -
     for decl in decls:
         for name in (decl.source, *decl.targets):
             if name is not None and name not in events:
-                raise BehaviorError(f"behavior references unknown event {name!r}", decl)
+                return None, [make("B1", f"behavior references unknown event {name!r}", decl.span)]
         if decl.kind == "seq":
             edges.append(BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.SEQUENCE))
         elif decl.kind == "repeat":
             if decl.bound is not None and decl.bound < 1:
-                raise BehaviorError("repeat bound must be >= 1", decl)
+                return None, [make("B1", "repeat bound must be >= 1", decl.span)]
             edges.append(
                 BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.REPEAT, bound=decl.bound)
             )
         elif decl.kind in ("choice", "concurrent"):
             if len(decl.targets) < 2:
-                raise BehaviorError(f"a {decl.kind} group needs at least two events", decl)
+                return None, [make("B1", f"a {decl.kind} group needs at least two events", decl.span)]
             if decl.kind == "choice":
                 choice_seq += 1
                 group_id = f"c{choice_seq}"
@@ -229,16 +207,15 @@ def build_behavior(events: Mapping[str, Event], decls: Sequence[BehaviorDecl]) -
             for target in decl.targets:
                 edges.append(BehaviorEdge(decl.source, target, kind, group=group_id))
         else:
-            raise BehaviorError(f"unknown behavior statement kind {decl.kind!r}", decl)
+            return None, [make("B1", f"unknown behavior statement kind {decl.kind!r}", decl.span)]
 
     # A behavior without an initial event has a cycle, so this check covers it too.
     cycle = _unannotated_cycle(events, decls)
     if cycle is not None:
         target, decl = cycle
-        raise BehaviorError(
-            f"cycle through {target!r} has no repeat edge; annotate it with 'repeat'", decl
-        )
-    return BehaviorGraph(dict(events), tuple(edges), tuple(groups))
+        message = f"cycle through {target!r} has no repeat edge; annotate it with 'repeat'"
+        return None, [make("B1", message, decl.span)]
+    return BehaviorGraph(dict(events), tuple(edges), tuple(groups)), []
 
 
 def _unannotated_cycle(
@@ -300,7 +277,7 @@ def coverage(events: Mapping[str, Event], model: StaticModel) -> CoverageReport:
 def overlap(a: Event, b: Event) -> Region | None:
     """Induced subdiagram on the shared stages; None when the events are disjoint."""
     if a.model is not b.model:
-        raise EventError("events belong to different models")
+        raise ValueError("events belong to different models")
     shared = a.region.stages & b.region.stages
     if not shared:
         return None
@@ -311,36 +288,29 @@ def eventize(
     document: ModelDocument,
 ) -> tuple[dict[str, Event], BehaviorGraph | None, CoverageReport | None, list[Diagnostic]]:
     """Define every declared event, connect the behavior, and report coverage.
-    Faults are diagnostics, not exceptions: R1/R2/R3 spanned at the event
-    declaration, B1 at the behavior statement. On errors the graph and the
-    coverage are None."""
+    Faults are diagnostics, not exceptions: P5 and R1/R2/R3 spanned at the
+    event declaration, B1 at the behavior statement. On errors the graph and
+    the coverage are None."""
     found: list[Diagnostic] = []
     events: dict[str, Event] = {}
     for name, decl in document.events.items():
         stage_ids = document.regions[decl.region].stage_ids
-        try:
-            event = define_event(document.model, name, stage_ids, decl.duration, decl.label)
-        except EventError as exc:
-            found.extend(replace(d, span=decl.span) for d in exc.findings)
-            continue
-        if not event.region.connected:
-            found.append(make("R2", "region is not weakly connected", decl.span, name))
-        events[name] = event
+        event, findings = define_event(document.model, name, stage_ids, decl.duration, decl.label)
+        found.extend(replace(d, span=decl.span) for d in findings)
+        if event is not None:
+            events[name] = event
     if has_errors(found):
         return events, None, None, found
-    try:
-        graph = build_behavior(events, document.behavior)
-    except BehaviorError as exc:
-        span = exc.decl.span if exc.decl is not None else None
-        return events, None, None, [*found, make("B1", str(exc), span)]
-    return events, graph, coverage(events, document.model), found
+    graph, findings = build_behavior(events, document.behavior)
+    found.extend(findings)
+    report = coverage(events, document.model) if graph is not None else None
+    return events, graph, report, found
 
 
 def build_from_document(document: ModelDocument) -> tuple[dict[str, Event], BehaviorGraph, CoverageReport]:
-    """Eventize a document, raising EventError (region rules, duration) or
-    BehaviorError (B1) for its first error diagnostic."""
+    """eventize(document), raising ValueError for its first error diagnostic."""
     events, graph, report, diagnostics = eventize(document)
     for diag in diagnostics:
         if diag.is_error:
-            raise (BehaviorError if diag.code == "B1" else EventError)(diag.render())
+            raise ValueError(diag.render())
     return events, graph, report

@@ -159,7 +159,7 @@ def make_random_behavior(
     model.freeze()
     names = [f"Ev{index}" for index in range(count)]
     events = {
-        name: define_event(model, name, [stage_ids[index]], duration=rng.randint(1, 3))
+        name: define_event(model, name, [stage_ids[index]], duration=rng.randint(1, 3))[0]
         for index, name in enumerate(names)
     }
     decls: list[BehaviorDecl] = []
@@ -185,7 +185,7 @@ def make_random_behavior(
         for index, name in enumerate(names):
             if name not in goes_on:
                 decls.append(BehaviorDecl("repeat", name, (names[rng.randrange(index + 1)],)))
-    return build_behavior(events, decls)
+    return build_behavior(events, decls)[0]
 
 
 def make_random_policy(rng: random.Random):

@@ -14,9 +14,9 @@ from tmkit import (
     BehaviorEdgeKind,
     FirstDeclared,
     Scripted,
-    build_from_document,
     check_model,
     check_region,
+    eventize,
     has_errors,
     overlap,
     parse,
@@ -50,8 +50,9 @@ def test_acceptance_01_chewing_pipeline_clean_labeled_ordered_fast():
     document = result.document
     findings = check_model(document.model)
     assert not has_errors(findings)
-    events, graph, _ = build_from_document(document)
+    events, graph, _, found = eventize(document)
     elapsed = time.perf_counter() - started
+    assert not has_errors(found)
 
     assert len(events) == 6
     assert {name: event.label for name, event in events.items()} == EATING_LABELS
@@ -79,7 +80,7 @@ def test_acceptance_02_rescue_race_outcome_and_margin():
         ("room2.fire.create", "room1.robot.create"),
     }
 
-    _, graph, _ = build_from_document(document)
+    _, graph, _, _ = eventize(document)
     forks = {g.group_id: g for g in graph.groups}
     assert forks["k1"].source == "Eignite"
     assert set(forks["k1"].members) == {"Erespond", "Eleakgrow", "Efiregrow"}
@@ -193,7 +194,7 @@ def test_acceptance_07_validator_agrees_with_brute_force_oracles():
 
 def test_acceptance_08_handoff_overlap_listed_exactly_once():
     document = parse(tmkit.corpus_text("ball"), source="ball.tm").document
-    events, _, report = build_from_document(document)
+    events, _, report, _ = eventize(document)
     assert sorted(events) == ["Ej", "Ej1"]
 
     region = overlap(events["Ej"], events["Ej1"])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +11,12 @@ from tmkit import (
     ActionKind,
     BehaviorDecl,
     BehaviorEdgeKind,
-    BehaviorError,
-    EventError,
+    SourceSpan,
     StaticModel,
     build_behavior,
-    build_from_document,
     coverage,
     define_event,
+    eventize,
     overlap,
     parse,
 )
@@ -41,9 +41,21 @@ def chain_model() -> StaticModel:
     return model
 
 
+def findings_of(findings):
+    return [(d.code, d.subject, d.message) for d in findings]
+
+
+def define(model, name, stage_ids):
+    """An event define_event finds nothing to say about."""
+    event, findings = define_event(model, name, stage_ids)
+    assert findings == []
+    return event
+
+
 def test_event_carries_region_duration_label():
     model = chain_model()
-    event = define_event(model, "Ego", ["a.create", "a.release"], duration=3, label="go")
+    event, findings = define_event(model, "Ego", ["a.create", "a.release"], duration=3, label="go")
+    assert findings == []
     assert event.duration == 3
     assert event.label == "go"
     assert event.region.stages == {"a.create", "a.release"}
@@ -51,33 +63,42 @@ def test_event_carries_region_duration_label():
 
 
 def test_event_rejects_empty_region():
-    with pytest.raises(EventError):
-        define_event(chain_model(), "Enone", [])
+    event, findings = define_event(chain_model(), "Enone", [])
+    assert event is None
+    assert findings_of(findings) == [("R1", "Enone", "region has no stages")]
 
 
 def test_event_rejects_split_handoff():
-    with pytest.raises(EventError):
-        define_event(chain_model(), "Esplit", ["a.transfer", "b.transfer"])
+    event, findings = define_event(chain_model(), "Esplit", ["a.transfer", "b.transfer"])
+    assert event is None
+    assert findings_of(findings) == [
+        ("R3", "Esplit", "region splits the atomic move b.transfer -> b.receive")
+    ]
 
 
 def test_event_allows_disconnected_region():
-    event = define_event(chain_model(), "Escatter", ["a.create", "a.transfer"])
+    event, findings = define_event(chain_model(), "Escatter", ["a.create", "a.transfer"])
     assert not event.region.connected
+    assert findings_of(findings) == [("R2", "Escatter", "region is not weakly connected")]
+    assert not findings[0].is_error
 
 
 def test_event_duration_must_be_positive():
-    with pytest.raises(EventError):
-        define_event(chain_model(), "Ezero", ["a.create"], duration=0)
+    event, findings = define_event(chain_model(), "Ezero", ["a.create"], duration=0)
+    assert event is None
+    assert findings_of(findings) == [("P5", "Ezero", "duration must be >= 1, got 0")]
     for duration in (2.5, True):  # a whole number of ticks, and not a bool
-        with pytest.raises(EventError, match="must be an integer") as caught:
-            define_event(chain_model(), "Eodd", ["a.create"], duration=duration)
-        assert [d.code for d in caught.value.findings] == ["P5"]
+        event, findings = define_event(chain_model(), "Eodd", ["a.create"], duration=duration)
+        assert event is None
+        assert findings_of(findings) == [
+            ("P5", "Eodd", f"duration must be an integer, got {duration!r}")
+        ]
 
 
 def two_events():
     model = chain_model()
-    first = define_event(model, "First", ["a.create", "a.release"])
-    second = define_event(model, "Second", ["a.release", "a.transfer"])
+    first = define(model, "First", ["a.create", "a.release"])
+    second = define(model, "Second", ["a.release", "a.transfer"])
     return model, first, second
 
 
@@ -89,15 +110,15 @@ def test_overlap_is_the_shared_induced_region():
 
 def test_overlap_none_when_disjoint():
     model = chain_model()
-    first = define_event(model, "First", ["a.create"])
-    second = define_event(model, "Second", ["a.transfer"])
+    first = define(model, "First", ["a.create"])
+    second = define(model, "Second", ["a.transfer"])
     assert overlap(first, second) is None
 
 
 def test_overlap_requires_one_model():
     _, first, _ = two_events()
-    other = define_event(chain_model(), "Other", ["a.create"])
-    with pytest.raises(EventError):
+    other = define(chain_model(), "Other", ["a.create"])
+    with pytest.raises(ValueError, match="different models"):
         overlap(first, other)
 
 
@@ -112,7 +133,7 @@ def test_coverage_reports_uncovered_and_shared():
 def test_behavior_edges_groups_roles():
     model = chain_model()
     events = {
-        name: define_event(model, name, stages)
+        name: define(model, name, stages)
         for name, stages in [
             ("A", ["a.create"]),
             ("B", ["a.release"]),
@@ -120,7 +141,7 @@ def test_behavior_edges_groups_roles():
             ("D", ["b.transfer", "b.receive"]),
         ]
     }
-    graph = build_behavior(
+    graph, findings = build_behavior(
         events,
         [
             BehaviorDecl("seq", "A", ("B",)),
@@ -128,6 +149,7 @@ def test_behavior_edges_groups_roles():
             BehaviorDecl("repeat", "D", ("A",), 4),
         ],
     )
+    assert findings == []
     assert graph.initial == {"A"}
     assert graph.terminal == {"C"}
     assert [e.kind for e in graph.edges] == [
@@ -141,60 +163,92 @@ def test_behavior_edges_groups_roles():
     assert graph.out_edges("B")[0].group == "c1"
     assert graph.predecessors("B") == frozenset({"A"})
     assert graph.reachable_events("B") == frozenset({"A", "B", "C", "D"})
+    with pytest.raises(ValueError, match="unknown event 'Ghost'"):
+        graph.reachable_events("Ghost")
+
+
+def two_step_events():
+    model = chain_model()
+    return {"A": define(model, "A", ["a.create"]), "B": define(model, "B", ["a.release"])}
+
+
+def only_b1(events, decls):
+    """The one B1 build_behavior returns for decls, with no graph."""
+    graph, findings = build_behavior(events, decls)
+    assert graph is None
+    (finding,) = findings
+    assert finding.code == "B1" and finding.is_error and finding.subject is None
+    return finding
 
 
 def test_behavior_rejects_unknown_event():
     model = chain_model()
-    events = {"A": define_event(model, "A", ["a.create"])}
-    with pytest.raises(BehaviorError):
-        build_behavior(events, [BehaviorDecl("seq", "A", ("Ghost",))])
+    events = {"A": define(model, "A", ["a.create"])}
+    finding = only_b1(events, [BehaviorDecl("seq", "A", ("Ghost",))])
+    assert finding.message == "behavior references unknown event 'Ghost'"
 
 
 def test_behavior_rejects_plain_cycle():
-    model = chain_model()
-    events = {
-        "A": define_event(model, "A", ["a.create"]),
-        "B": define_event(model, "B", ["a.release"]),
-    }
-    with pytest.raises(BehaviorError):
-        build_behavior(
-            events,
-            [BehaviorDecl("seq", "A", ("B",)), BehaviorDecl("seq", "B", ("A",))],
-        )
+    finding = only_b1(
+        two_step_events(),
+        [BehaviorDecl("seq", "A", ("B",)), BehaviorDecl("seq", "B", ("A",))],
+    )
+    assert finding.message == "cycle through 'A' has no repeat edge; annotate it with 'repeat'"
 
 
 def test_behavior_allows_cycle_through_repeat():
-    model = chain_model()
-    events = {
-        "A": define_event(model, "A", ["a.create"]),
-        "B": define_event(model, "B", ["a.release"]),
-    }
-    graph = build_behavior(
-        events,
+    graph, findings = build_behavior(
+        two_step_events(),
         [BehaviorDecl("seq", "A", ("B",)), BehaviorDecl("repeat", "B", ("A",))],
     )
+    assert findings == []
     assert graph.initial == {"A"}
     assert graph.terminal == frozenset()
 
 
 def test_behavior_needs_an_entry_point():
-    model = chain_model()
-    events = {
-        "A": define_event(model, "A", ["a.create"]),
-        "B": define_event(model, "B", ["a.release"]),
-    }
-    with pytest.raises(BehaviorError):
-        build_behavior(
-            events,
-            [
-                BehaviorDecl("choice", None, ("A", "B")),
-                BehaviorDecl("seq", "B", ("A",)),
-                BehaviorDecl("seq", "A", ("B",)),
-            ],
-        )
+    finding = only_b1(
+        two_step_events(),
+        [
+            BehaviorDecl("choice", None, ("A", "B")),
+            BehaviorDecl("seq", "B", ("A",)),
+            BehaviorDecl("seq", "A", ("B",)),
+        ],
+    )
+    assert "has no repeat edge" in finding.message
 
 
-def test_build_from_document_end_to_end():
+def span_at(line):
+    return SourceSpan("b.tm", 20 * line, 20 * line + 9, line, 3)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (BehaviorDecl("repeat", "B", ("A",), 0), "repeat bound must be >= 1"),
+        (BehaviorDecl("choice", "B", ("A",)), "a choice group needs at least two events"),
+        (BehaviorDecl("concurrent", None, ("A",)), "a concurrent group needs at least two events"),
+        (BehaviorDecl("loop", "B", ("A",)), "unknown behavior statement kind 'loop'"),
+        (BehaviorDecl("seq", "B", ("Ghost",)), "behavior references unknown event 'Ghost'"),
+        (
+            BehaviorDecl("seq", "B", ("A",)),
+            "cycle through 'A' has no repeat edge; annotate it with 'repeat'",
+        ),
+    ],
+    ids=["bound", "choice", "concurrent", "kind", "unknown-event", "cycle"],
+)
+def test_each_b1_is_spanned_at_the_statement_at_fault(fault, message):
+    decls = [
+        BehaviorDecl("seq", "A", ("B",), span=span_at(1)),
+        replace(fault, span=span_at(2)),
+        BehaviorDecl("repeat", "B", ("A",), 2, span=span_at(3)),
+    ]
+    finding = only_b1(two_step_events(), decls)
+    assert finding.message == message
+    assert finding.span == span_at(2)
+
+
+def test_eventize_end_to_end():
     text = (
         "machine a { stage create; stage release; }\n"
         "flow: a.create -> a.release;\n"
@@ -203,7 +257,8 @@ def test_build_from_document_end_to_end():
         "behavior { X -> Y; }"
     )
     document = parse(text).document
-    events, graph, report = build_from_document(document)
+    events, graph, report, diagnostics = eventize(document)
+    assert diagnostics == []
     assert set(events) == {"X", "Y"}
     assert graph.initial == {"X"} and graph.terminal == {"Y"}
     assert report.uncovered == ()
@@ -217,9 +272,6 @@ def test_indexes_equal_their_edge_scan_definitions(seed, max_events):
     for name in graph.events:
         assert graph.out_edges(name) == oracles.scan_out_edges(graph, name)
         assert graph.predecessors(name) == oracles.scan_predecessors(graph, name)
-        assert graph.sorted_predecessors(name) == tuple(sorted(oracles.scan_predecessors(graph, name)))
         assert graph.reachable_events(name) == oracles.scan_reachable(graph, name)
-    for group in graph.groups:
-        assert graph.group(group.group_id) is group
     assert graph.out_edges("no such event") == ()
     assert graph.predecessors("no such event") == frozenset()

@@ -22,9 +22,9 @@ from tmkit import (
     StaticModel,
     behavior_digest,
     build_behavior,
-    build_from_document,
     define_event,
     document_from_parts,
+    eventize,
     export_dot,
     import_json,
     model_digest,
@@ -108,7 +108,7 @@ def test_model_json_escapes_any_name_label_and_thing(names, labels, things, dura
 
 def test_trace_json_is_schema_valid(corpus):
     document = corpus["eating"]
-    _, graph, _ = build_from_document(document)
+    _, graph, _, _ = eventize(document)
     trace = run(graph, FirstDeclared(), horizon=19)
     payload = json.loads(trace_to_json(trace, graph, document.model))
     jsonschema.validate(payload, tmkit.TRACE_SCHEMA)
@@ -125,7 +125,7 @@ def json_module_form(text: str) -> str:
 
 def test_trace_json_matches_the_json_module_on_the_corpus(corpus):
     for document in corpus.values():
-        _, graph, _ = build_from_document(document)
+        _, graph, _, _ = eventize(document)
         for policy in (FirstDeclared(), SeededRandom(5), Scripted(()), Scripted(("Es2",))):
             for horizon in (1, 60):
                 text = trace_to_json(run(graph, policy, horizon, seed=7), graph, document.model)
@@ -160,12 +160,12 @@ def test_trace_json_escapes_any_event_name(names, seed, horizon, data):
     events = {}
     for index, name in enumerate(names):
         stage = model.add_stage(model.add_machine(f"m{index}"), ActionKind.CREATE)
-        events[name] = define_event(model, name, [stage])
+        events[name] = define_event(model, name, [stage])[0]
     model.freeze()
     decls = [BehaviorDecl("choice", None, (names[0], names[1]))]
     decls += [BehaviorDecl("seq", a, (b,)) for a, b in zip(names[1:], names[2:])]
     decls.append(BehaviorDecl("repeat", names[-1], (names[0],), 3))
-    graph = build_behavior(events, decls)
+    graph = build_behavior(events, decls)[0]
     script = data.draw(st.lists(st.sampled_from(names[:2]), max_size=4))
     for policy in (FirstDeclared(), Scripted(tuple(script))):
         text = trace_to_json(run(graph, policy, horizon, seed=seed), graph, model)
@@ -219,6 +219,7 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
         (("behavior", 0, "bound"), 1.5),
         (("behavior", 0, "bound"), False),
         (("behavior", 0, "kind"), 7),
+        (("behavior", 0, "kind"), "bogus"),
         (("flows", 0, "thing"), {"x": 1}),
     ):
         payload = json.loads(text)
@@ -228,6 +229,13 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
         parent[key] = value
         with pytest.raises(ExportError, match="must be"):
             import_json(json.dumps(payload))
+    # Region and event names the text form refuses, renamed at every use.
+    region = min(json.loads(text)["regions"])
+    for old, new in ((event, "x.y"), (region, "r.s"), (event, "")):
+        renamed = text.replace(json.dumps(old), json.dumps(new))
+        assert renamed != text
+        with pytest.raises(ExportError, match="name must be a valid name"):
+            import_json(renamed)
 
 
 def test_export_json_requires_frozen_model():
@@ -272,7 +280,7 @@ def count_hashes(monkeypatch) -> list[int]:
 
 def test_digests_are_computed_once_per_frozen_model_and_graph(monkeypatch):
     document = parse(tmkit.corpus_text("disaster")).document
-    _, graph, _ = build_from_document(document)
+    _, graph, _, _ = eventize(document)
     trace = tmkit.run(graph, SeededRandom(4), 40)
     calls = count_hashes(monkeypatch)
     first = trace_to_json(trace, graph, document.model)
@@ -282,7 +290,7 @@ def test_digests_are_computed_once_per_frozen_model_and_graph(monkeypatch):
     assert len(calls) == 2
     # A fresh parse of the same text has no digest yet and gives the same bytes.
     fresh = parse(tmkit.corpus_text("disaster")).document
-    assert trace_to_json(trace, build_from_document(fresh)[1], fresh.model) == first
+    assert trace_to_json(trace, eventize(fresh)[1], fresh.model) == first
     assert len(calls) == 4
 
 
@@ -301,7 +309,7 @@ def test_unfrozen_models_are_digested_on_every_call(monkeypatch):
 
 def test_dot_output_is_deterministic_and_complete(corpus):
     document = corpus["disaster"]
-    _, graph, _ = build_from_document(document)
+    _, graph, _, _ = eventize(document)
     first = export_dot(document, behavior=graph)
     second = export_dot(document, behavior=graph)
     assert first == second
@@ -322,7 +330,7 @@ def test_dot_marks_start_groups_and_repeats():
         "behavior { concurrent { A, B }; repeat B bound 3; }"
     )
     document = parse(text).document
-    _, graph, _ = build_from_document(document)
+    _, graph, _, _ = eventize(document)
     dot = export_dot(document, behavior=graph)
     assert '"__start__"' in dot
     assert 'label="repeat <= 3"' in dot
@@ -343,8 +351,8 @@ def test_behavior_only_json_brings_its_events_and_reimports(corpus):
         clone = import_json(text)
         assert model_digest(clone.model) == model_digest(document.model), name
         assert sorted(clone.events) == sorted(document.events), name
-        _, graph, _ = build_from_document(document)
-        _, cloned_graph, _ = build_from_document(clone)
+        _, graph, _, _ = eventize(document)
+        _, cloned_graph, _, _ = eventize(clone)
         assert behavior_digest(cloned_graph) == behavior_digest(graph), name
 
 

@@ -6,8 +6,6 @@ import pytest
 
 from tmkit import (
     CATALOGUE,
-    BehaviorError,
-    EventError,
     build_from_document,
     corpus_text,
     eventize,
@@ -119,7 +117,7 @@ def test_eventize_spans_b1_at_the_statement_closing_the_cycle():
 
 
 def test_build_from_document_raises_the_first_error():
-    with pytest.raises(EventError, match="R1"):
+    with pytest.raises(ValueError, match="R1"):
         build_from_document(parse(STAGELESS).document)
-    with pytest.raises(BehaviorError, match="B1"):
+    with pytest.raises(ValueError, match="B1"):
         build_from_document(parse(CYCLE).document)

@@ -24,8 +24,8 @@ from tmkit import (
     StaticModel,
     TickSnapshot,
     build_behavior,
-    build_from_document,
     define_event,
+    eventize,
     init,
     race_report,
     run,
@@ -45,13 +45,13 @@ def simple_events(names_durations):
         stage_ids[name] = model.add_stage(mid, ActionKind.CREATE)
     model.freeze()
     return {
-        name: define_event(model, name, [stage_ids[name]], duration=duration)
+        name: define_event(model, name, [stage_ids[name]], duration=duration)[0]
         for name, duration in names_durations
     }
 
 
 def graph_of(names_durations, decls):
-    return build_behavior(simple_events(names_durations), decls)
+    return build_behavior(simple_events(names_durations), decls)[0]
 
 
 def live_at(trace, tick):
@@ -66,7 +66,7 @@ def archived_at(trace, tick):
 
 
 def test_eating_run_matches_hand_table(corpus):
-    _, graph, _ = build_from_document(corpus["eating"])
+    _, graph, _, _ = eventize(corpus["eating"])
     trace = run(graph, FirstDeclared(), horizon=20)
 
     assert live_at(trace, 0) == ("E1#1", "E2#1")
@@ -91,7 +91,7 @@ def test_eating_run_matches_hand_table(corpus):
 
 
 def test_ball_run_reaches_terminal(corpus):
-    _, graph, _ = build_from_document(corpus["ball"])
+    _, graph, _, _ = eventize(corpus["ball"])
     trace = run(graph, FirstDeclared(), horizon=10)
     assert [snap.live for snap in trace.ticks] == [
         ("Ej#1",),
@@ -520,7 +520,7 @@ def test_race_with_an_unfinished_stream():
 
 
 def test_disaster_race_report(corpus):
-    _, graph, _ = build_from_document(corpus["disaster"])
+    _, graph, _, _ = eventize(corpus["disaster"])
     trace = run(graph, Scripted(("Es2",)), horizon=30, seed=7)
     assert trace.termination == "terminal-reached"
     assert len(trace.ticks) == 17
