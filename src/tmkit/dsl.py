@@ -34,6 +34,13 @@ the parser compares words directly: identifiers, numbers, quoted strings and
 punctuation never share a text. Lines and columns are not tracked: each parse
 keeps one sorted list of newline offsets, and a SourceSpan finds its line and
 column there by bisection when it is built.
+
+Identifiers joined by dots with no blank between them ("a.b-c.d") are one
+path word, which a path takes with one split. Where the parser reads a single
+name, keyword or number instead, it splits such a word in place into its names
+and '.' tokens, so every finding keeps the span it would have had with blanks
+around the dots. The grammar allows no '.' there, so a path word is split only
+on the way to a P2.
 """
 from __future__ import annotations
 
@@ -57,7 +64,8 @@ MAX_DIAGNOSTICS = 100
 MAX_NESTING = 64
 MAX_NUMBER = 2**63 - 1  # largest duration or bound
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(-[A-Za-z0-9_]+)*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
+IDENT_RE = re.compile(_IDENT + r"\Z")
 
 # Names that would be misread at the head of a behavior statement; the
 # formatter quotes them there (and anywhere, for simplicity).
@@ -123,8 +131,9 @@ def document_from_parts(
     """Assemble a document programmatically; raises UnknownEntityError on
     dangling references and ValueError on a field the text form cannot hold:
     region and event names must pass validate_name, durations and bounds are
-    ints (not bools), labels and flow things strings, and a behavior kind is
-    one of seq, choice, concurrent and repeat."""
+    ints (not bools), labels strings, and a behavior kind is one of seq,
+    choice, concurrent and repeat. Flow things are names already:
+    StaticModel.add_flow refuses any other."""
     region_decls: dict[str, RegionDecl] = {}
     for name, stage_ids in (regions or {}).items():
         _check_name("region", name)
@@ -132,9 +141,6 @@ def document_from_parts(
             if stage_id not in model.stages:
                 raise UnknownEntityError(f"region {name!r} references unknown stage {stage_id!r}")
         region_decls[name] = RegionDecl(name, tuple(sorted(set(stage_ids))))
-    for flow in model.flows.values():
-        if flow.thing is not None and not isinstance(flow.thing, str):
-            raise ValueError(f"flow {flow.id} thing must be a string, got {flow.thing!r}")
     event_decls = dict(events or {})
     for name, event in event_decls.items():
         _check_name("event", name)
@@ -177,11 +183,12 @@ def _is_int(value: object) -> bool:
 
 # One match per token, blanks, newlines and comments before it included. The
 # group is the token's word: its source text, whose first character tells its
-# kind. Strings with escapes or without a closing quote, and stray characters,
-# leave the group empty and go to _lex_irregular.
+# kind. Identifiers joined by dots with no blank between them are one path word
+# ("a.b-c.d"). Strings with escapes or without a closing quote, and stray
+# characters, leave the group empty and go to _lex_irregular.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\f\v\n]+|#[^\n]*)*"
-    r'([A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[0-9]+|"[^"\\\n]*"|->|[{};:,|=.])?'
+    r"(" + _IDENT + r"(?:\." + _IDENT + r')*|[0-9]+|"[^"\\\n]*"|->|[{};:,|=.])?'
 )
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -364,7 +371,30 @@ class _Parser:
     # -- plumbing --
 
     def peek(self) -> str:
-        return self.words[self.pos]
+        """The current token's word, read as one name, keyword or number: a
+        path word there is split first (see split_word)."""
+        word = self.words[self.pos]
+        if "." in word and word[0] in _IDENT_START:
+            return self.split_word()
+        return word
+
+    def split_word(self) -> str:
+        """Split the path word at the current token, in place, into its names
+        and '.' tokens at their own offsets; returns the first name. No '.'
+        may follow a single name, keyword or number, so a P2 follows every
+        split: MAX_DIAGNOSTICS bounds them, and a valid file needs none."""
+        at = self.pos
+        offset = self.starts[at]
+        words: list[str] = []
+        starts: list[int] = []
+        for name in self.words[at].split("."):
+            words += (name, ".")
+            starts += (offset, offset + len(name))
+            offset += len(name) + 1
+        self.words[at : at + 1] = words[:-1]
+        self.starts[at : at + 1] = starts[:-1]
+        self.last += len(words) - 2
+        return words[0]
 
     def advance(self) -> int:
         """Step past the current token, never past the end; returns its index."""
@@ -374,7 +404,8 @@ class _Parser:
         return at
 
     def at(self, word: str) -> bool:
-        return self.words[self.pos] == word
+        found = self.words[self.pos]
+        return found == word or ("." in found and self.peek() == word)
 
     def span(self, first: int, last: int | None = None) -> SourceSpan:
         """From the start of token `first` to the end of token `last` (or `first`)."""
@@ -392,13 +423,13 @@ class _Parser:
             self.diags.append(make(code, message, span))
 
     def expect(self, word: str, what: str) -> int:
-        if self.words[self.pos] != word:
+        if self.words[self.pos] != word and self.peek() != word:
             self.error(f"expected {word!r} {what}")
         return self.advance()
 
     def parse_name(self, what: str) -> tuple[str, int]:
         at = self.pos
-        word = self.words[at]
+        word = self.peek()
         if word[:1] not in _NAME_START:
             self.error(f"expected a name {what}")
         self.advance()
@@ -406,7 +437,7 @@ class _Parser:
 
     def parse_int(self, what: str) -> tuple[int, int]:
         at = self.pos
-        word = self.words[at]
+        word = self.peek()
         if not word[:1].isdigit():
             self.error(f"expected a number {what}")
         self.advance()
@@ -416,11 +447,19 @@ class _Parser:
         return value, at  # type: ignore[return-value]
 
     def parse_path(self, what: str) -> list[str]:
-        segments = [self.parse_name(what)[0]]
-        while self.at("."):
-            self.advance()
-            segments.append(self.parse_name("after '.'")[0])
-        return segments
+        """Dot-separated names: a path word gives all of its names at once."""
+        segments: list[str] = []
+        while True:
+            word = self.words[self.pos]
+            if word[:1] in _IDENT_START:
+                self.pos += 1  # never the end-of-input token, whose word is ""
+                segments += word.split(".")
+            else:
+                segments.append(self.parse_name(what)[0])
+            if self.words[self.pos] != ".":
+                return segments
+            self.pos += 1
+            what = "after '.'"
 
     def parse_member(self) -> tuple[list[str], SourceSpan]:
         """A region member path, with its span for the linker's findings."""
@@ -764,7 +803,7 @@ class _Linker:
         dst = self.endpoint(item.dst, item.span, stages_only=False)
         if src is None or dst is None:
             return
-        flow_id = self.model.add_flow(src, dst, item.thing)
+        flow_id = self.model._insert_flow(src, dst, item.thing)
         self.spans[flow_id] = item.span
 
     def link_trigger(self, item: _TriggerItem) -> None:

@@ -11,10 +11,12 @@ Entity ids are deterministic:
   storage id   "<machine id>.<thing>"
   flow id      "f0001", "f0002", ... in insertion order (triggers: "t0001", ...)
 
-Each machine maps the names of its child machines and the things of its
-storages to their ids, so path resolution and the duplicate-name check are a
-dict lookup per segment, never a scan of the siblings. Child machines and
-storages of one machine share a namespace.
+Since an id is the entity's path, resolve() looks a whole dotted path up by
+its id, one dict lookup per path; it walks the machine tree only to word the
+error when that fails. Each machine maps the names of its child machines and
+the things of its storages to their ids, so that walk and the duplicate-name
+check are a dict lookup per segment, never a scan of the siblings. Child
+machines and storages of one machine share a namespace.
 
 Each stage or storage node has a list of the flow and trigger edges incident
 to it, appended to by add_flow/add_trigger, so it is current before freeze()
@@ -134,6 +136,8 @@ def has_control_character(text: str) -> bool:
 
 def validate_name(name: str) -> str:
     """Names must be printable, dot-free, quote-free, and not reserved."""
+    if not isinstance(name, str):
+        raise InvalidNameError(f"name must be a string, got {name!r}")
     if not name:
         raise InvalidNameError("name must not be empty")
     if _NOT_IN_NAME.search(name):
@@ -218,8 +222,16 @@ class StaticModel:
         raise UnknownEntityError(f"unknown stage or storage: {node_id!r}")
 
     def add_flow(self, src: str, dst: str, thing: str | None = None) -> str:
-        """Insert a flow edge. Endpoints must exist; legality is checked later."""
+        """Insert a flow edge. The thing is None or a valid name and the
+        endpoints must exist; legality is checked later."""
         self._guard_mutable()
+        if thing is not None:
+            validate_name(thing)
+        return self._insert_flow(src, dst, thing)
+
+    def _insert_flow(self, src: str, dst: str, thing: str | None) -> str:
+        """add_flow without its name check, for the linker, which checks the
+        thing before it resolves the endpoints."""
         self._node(src)
         self._node(dst)
         self._flow_seq += 1
@@ -297,21 +309,31 @@ class StaticModel:
     def resolve(self, segments: Sequence[str]) -> tuple[str, str]:
         """Resolve a dotted path to ("machine" | "stage" | "storage", entity id).
 
-        The first segment may be the reserved root name. Intermediate segments
-        must name child machines; the final segment may name a stage kind, a
-        child machine, or a storage thing (checked in that order).
+        The first segment may be the reserved root name. An entity's id is its
+        path from the root, so the joined path is looked up in the stages, the
+        machines and the storages, in that order. The tree is walked only when
+        that finds nothing, to word the error (or to find a stage of the root
+        itself, whose id starts with a dot): intermediate segments must name
+        child machines, and the final one a stage kind, a child machine or a
+        storage thing (checked in that order). A segment that is empty or holds
+        a dot is not a name, and its path goes straight to the walk.
         """
         if not segments:
             raise UnknownEntityError("empty path")
+        names = segments[1:] if segments[0] == ROOT_NAME else segments
+        if not names:
+            return ("machine", ROOT_ID)
+        path = ".".join(names)
+        if path.count(".") == len(names) - 1 and "" not in names:
+            if path in self.stages:
+                return ("stage", path)
+            if path in self.machines:
+                return ("machine", path)
+            if path in self.storages:
+                return ("storage", path)
         current = self.machines[ROOT_ID]
-        start = 0
-        if segments[0] == ROOT_NAME:
-            start = 1
-            if len(segments) == 1:
-                return ("machine", ROOT_ID)
-        for index in range(start, len(segments)):
-            segment = segments[index]
-            last = index == len(segments) - 1
+        for index, segment in enumerate(names, 1):
+            last = index == len(names)
             kind = _KIND_BY_NAME.get(segment) if last else None
             if kind is not None:
                 stage_id = current.stages.get(kind)

@@ -1,7 +1,10 @@
 """Shared fixtures and seeded generators for the test suite."""
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,16 @@ from tmkit import (
     define_event,
     document_from_parts,
 )
+
+
+def load_perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -51,11 +64,11 @@ def machine_name(rng: random.Random, index: int) -> str:
     return f"{stem}.{index}".replace(".", "_")
 
 
-def make_random_model(rng: random.Random, max_machines: int = 8) -> StaticModel:
+def make_random_model(rng: random.Random, max_machines: int = 8, min_machines: int = 1) -> StaticModel:
     """A structurally arbitrary model: flows may well be illegal on purpose."""
     model = StaticModel()
     machine_ids: list[str] = []
-    for index in range(rng.randint(1, max_machines)):
+    for index in range(rng.randint(min_machines, max_machines)):
         parent = rng.choice(machine_ids) if machine_ids and rng.random() < 0.4 else None
         mid = model.add_machine(machine_name(rng, index), parent)
         machine_ids.append(mid)
@@ -99,10 +112,10 @@ def grow_random_model(rng: random.Random, steps: int = 40):
         yield model
 
 
-def make_random_document(rng: random.Random) -> ModelDocument:
+def make_random_document(rng: random.Random, max_machines: int = 8, min_machines: int = 1) -> ModelDocument:
     """A random model plus regions, events, and behavior for format testing.
     Region health and behavior runnability are irrelevant here."""
-    model = make_random_model(rng)
+    model = make_random_model(rng, max_machines, min_machines)
     stages = sorted(model.stages)
     regions: dict[str, tuple[str, ...]] = {}
     events: dict[str, EventDecl] = {}

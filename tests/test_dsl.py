@@ -1,15 +1,20 @@
 """Frontend behavior: total parsing, spanned diagnostics, recovery, linking."""
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
+from bisect import bisect_left
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmkit
-from tmkit import parse
-from tmkit.dsl import MAX_DIAGNOSTICS
+from tmkit import load, parse
+from tmkit.dsl import MAX_DIAGNOSTICS, _Parser
 
+import oracles
 from conftest import make_random_document
 
 GOOD = """
@@ -307,3 +312,150 @@ def test_parse_is_total_on_arbitrary_text(text):
 @given(st.binary(max_size=120))
 def test_parse_is_total_on_arbitrary_bytes(blob):
     parse(blob.decode("latin-1"))
+
+
+# -- path words --------------------------------------------------------------
+#
+# The lexer reads "a.b.c" as one path word, and the parser splits it back into
+# names and '.' tokens where it reads a single name, keyword or number. Spacing
+# the dots apart ("a . b . c") must therefore change nothing but offsets.
+
+# Statements with a slot in every single-name, keyword and number position.
+STATEMENTS = (
+    "<machine> <name> { <stage> <kind>; <machine> <name> { <stage> <kind>; } }",
+    "<flow> <name>: <path> -> <path>;",
+    "flow: <path> -> <path>;",
+    "trigger: <path> -> <path>;",
+    "<storage> <name> <in> <path>;",
+    "<region> <name> = { <path>, <path> };",
+    "<event> <name> <on> <name> <duration> <number> <label> <string>;",
+    "<behavior> { <name> -> <name>; <repeat> <name> -> <name> <bound> <number>; }",
+    "behavior { <name> -> <choice> { <name> | <name> }; <concurrent> { <name>, <name> }; }",
+)
+SLOTS = {
+    "name": ("a", "b", "e", "r", "q", "a.b", "e.f", "r.s.t", '"q"', "x-y.z"),
+    "kind": ("create", "release", "create.x", "a.create"),
+    "path": ("a", "a.create", "a.b.release", "world", "world.a.create", '"a".create', '"a".b.release', "a.q", "b.create"),
+    "number": ("2", "x.y", "2.x"),
+    "string": ('"l"', "l.m"),
+}
+KEYWORDS = ("machine", "stage", "flow", "storage", "in", "region", "event", "on", "duration", "label",
+            "behavior", "repeat", "bound", "choice", "concurrent")
+PREFIX = (
+    "machine a { stage create; machine b { stage create; stage release; } }\n"
+    "flow: a.create -> a.b.create;\nregion r = { a };\nregion s = { a.b };\n"
+    "event e on r;\nevent f on s;\n"
+)
+_SLOT = re.compile(r"<([a-z]+)>")
+
+
+@st.composite
+def path_word_texts(draw):
+    """A few statements, each slot a plain word or a path word."""
+    def fill(found):
+        slot = found[1]
+        if slot in KEYWORDS:
+            return draw(st.sampled_from((slot, slot, f"{slot}.x")))
+        return draw(st.sampled_from(SLOTS[slot]))
+
+    statements = draw(st.lists(st.sampled_from(STATEMENTS), max_size=5))
+    body = "\n".join(_SLOT.sub(fill, statement) for statement in statements)
+    return (PREFIX if draw(st.booleans()) else "") + body
+
+
+def spaced_dots(text: str):
+    """`text` with a blank on either side of every '.' token that the reference
+    lexer finds, and the maps of start and end offsets into it."""
+    dots = [token.start for token in oracles.reference_lex(text)[0] if token.text == "."]
+    spaced = text
+    for dot in reversed(dots):
+        spaced = spaced[:dot] + " . " + spaced[dot + 1 :]
+
+    def start(offset: int) -> int:  # a dot's start moves past its new blank
+        return offset + 2 * bisect_left(dots, offset) + (offset in dots)
+
+    def end(offset: int) -> int:  # a dot's end stays before its new blank
+        return offset + 2 * bisect_left(dots, offset) - (offset - 1 in dots)
+
+    return spaced, start, end
+
+
+def moved(span, text: str, start, end):
+    """`span` in the spaced text."""
+    if span is None:
+        return None
+    first = start(span.start)
+    line, column = oracles.position(text, first)
+    return dataclasses.replace(span, start=first, end=end(span.end), line=line, column=column)
+
+
+def assert_dots_may_be_spaced(text: str) -> None:
+    spaced, start, end = spaced_dots(text)
+    before, after = load(text, "t.tm"), load(spaced, "t.tm")
+    assert [dataclasses.replace(d, span=moved(d.span, spaced, start, end)) for d in before.diagnostics] == \
+        after.diagnostics, text
+    assert (before.document is None) == (after.document is None), text
+    if before.document is not None:
+        assert tmkit.format_document(before.document) == tmkit.format_document(after.document), text
+        spans = before.document.spans
+        assert {key: moved(span, spaced, start, end) for key, span in spans.items()} == after.document.spans
+        assert [moved(d.span, spaced, start, end) for d in before.document.behavior] == \
+            [d.span for d in after.document.behavior]
+
+
+def counted_parse(text: str):
+    """parse(text), and how often the parser split a path word."""
+    with mock.patch.object(_Parser, "split_word", autospec=True, side_effect=_Parser.split_word) as split:
+        result = parse(text)
+    return result, split.call_count
+
+
+def valid_texts() -> list[str]:
+    rng = random.Random(1010)
+    texts = [tmkit.corpus_text(name) for name in tmkit.corpus_names()]
+    return texts + [tmkit.format_document(make_random_document(rng)) for _ in range(30)]
+
+
+def test_spacing_dots_changes_nothing_on_corpus_and_generated_models():
+    for text in valid_texts():
+        assert "." in text
+        assert_dots_may_be_spaced(text)
+        result, splits = counted_parse(text)
+        assert result.ok and splits == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_word_texts())
+def test_spacing_dots_changes_nothing_in_any_position(text):
+    assert_dots_may_be_spaced(text)
+    result, splits = counted_parse(text)
+    # A split is followed by a P2 at once; a file without errors needs none.
+    assert splits <= sum(1 for d in result.diagnostics if d.code == "P2")
+    if result.ok:
+        assert splits == 0
+
+
+def test_a_path_word_where_one_name_goes_is_split_at_its_dots():
+    head = "machine a { stage create; }\n"
+    for statement, column, message in (
+        ("machine m.n { stage create; }", 10, "expected '{' to open the machine body"),
+        ("machine m { stage create.x; }", 25, "expected ';' after the stage"),
+        ("machine m { x.y; }", 13, "expected 'stage' or 'machine' inside a machine"),
+        ("storage x in.a a;", 13, "expected a name for the owning machine"),
+        ("region r.s = { a };", 9, "expected '=' after the region name"),
+        ("event e on r duration x.y;", 23, "expected a number for the duration"),
+        ("flow.x: a.create -> a.create;", 5, "expected a name for the flow thing"),
+    ):
+        result, splits = counted_parse(head + statement)
+        rendered = [d.render() for d in result.diagnostics if d.code == "P2"]
+        assert rendered == [f"<input>:2:{column}: error P2: {message}"], statement
+        assert splits == 1, statement
+    result = parse(head + 'region r = { "a".create, world.a };')
+    assert result.ok and result.document.regions["r"].stage_ids == ("a.create",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=200) | path_word_texts())
+def test_load_is_total_on_arbitrary_text(text):
+    loaded = load(text)
+    assert loaded.document is not None or tmkit.has_errors(loaded.diagnostics)

@@ -26,6 +26,7 @@ from tmkit import (
     document_from_parts,
     eventize,
     export_dot,
+    format_document,
     import_json,
     model_digest,
     model_to_json,
@@ -38,7 +39,7 @@ from tmkit.dsl import EventDecl
 from tmkit.model import InvalidNameError, has_control_character, validate_name
 
 import oracles
-from conftest import make_random_behavior, make_random_document, make_random_policy
+from conftest import load_perfbench_module, make_random_behavior, make_random_document, make_random_policy
 
 MODEL_JSON_FLAGS = ((False, False), (True, False), (False, True), (True, True))
 
@@ -80,12 +81,12 @@ def test_model_json_matches_the_json_module_on_random_documents(seed):
 @given(
     st.lists(st.text(min_size=1, max_size=6).filter(is_valid_name), min_size=1, max_size=4, unique=True),
     st.lists(st.none() | st.text(max_size=8).filter(lambda t: not has_control_character(t)), min_size=4, max_size=4),
-    st.lists(st.none() | st.text(max_size=6), min_size=4, max_size=4),
+    st.lists(st.none() | st.text(min_size=1, max_size=6).filter(is_valid_name), min_size=4, max_size=4),
     st.integers(1, 2**63 - 1),
 )
 def test_model_json_escapes_any_name_label_and_thing(names, labels, things, duration):
-    # Names may hold backslashes and any non-ASCII character; labels and flow
-    # things may hold quotes too.
+    # Names and flow things may hold backslashes and any non-ASCII character;
+    # labels may hold quotes too.
     model = StaticModel()
     stages = []
     for index, name in enumerate(names):
@@ -197,6 +198,46 @@ def test_reimport_random_documents():
         assert model_to_json(clone, True, True) == text
 
 
+BENCHMARK_GEN = load_perfbench_module("gen")
+
+
+def assert_round_trips(document) -> None:
+    """text -> document -> text is a fixed point, JSON -> document -> JSON
+    gives the same bytes, and both keep the model and behavior digests."""
+    text = format_document(document)
+    reparsed = parse(text).document
+    assert reparsed is not None and format_document(reparsed) == text
+    payload = model_to_json(document, True, True)
+    imported = import_json(payload)
+    assert model_to_json(imported, True, True) == payload
+    graph = eventize(document)[1]
+    for copy in (reparsed, imported):
+        assert model_digest(copy.model) == model_digest(document.model)
+        copy_graph = eventize(copy)[1]
+        assert (copy_graph is None) == (graph is None)
+        if graph is not None:
+            assert behavior_digest(copy_graph) == behavior_digest(graph)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_round_trips_of_edit_loop_models(seed):
+    # The benchmark's edit-loop model: about 150 nested machines, 650 flows,
+    # triggers, storages and a behavior of choice and concurrent groups.
+    document = parse(BENCHMARK_GEN.edit_model(seed).text).document
+    assert len(document.model.machines) > 150 and len(document.model.flows) > 600
+    assert document.model.triggers and document.model.storages
+    assert_round_trips(document)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_round_trips_of_large_random_documents(seed):
+    # Quoted names ("gear 3", "gear\\3"), labels with quotes and backslashes.
+    document = make_random_document(random.Random(seed), max_machines=200, min_machines=120)
+    assert_round_trips(document)
+
+
 def test_import_rejects_wrong_or_broken_payloads(corpus):
     with pytest.raises(ExportError):
         import_json("not even json")
@@ -236,6 +277,12 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
         assert renamed != text
         with pytest.raises(ExportError, match="name must be a valid name"):
             import_json(renamed)
+    # Flow things the text form refuses.
+    for thing, message in (("a.b", "forbidden character"), ("", "must not be empty")):
+        payload = json.loads(text)
+        payload["flows"][0]["thing"] = thing
+        with pytest.raises(ExportError, match=message):
+            import_json(json.dumps(payload))
 
 
 def test_export_json_requires_frozen_model():

@@ -1,8 +1,10 @@
 """The regex lexer: positions derived from offsets, and the same tokens and P1
 findings as the per-character reference lexer in oracles.py.
 
-`_lex` gives words and start offsets only; `lex` below rebuilds the reference
-lexer's tokens from them, so the two are still compared field by field."""
+`_lex` gives words and start offsets only, with identifiers joined by dots
+as one path word; `lex` below splits path words back into identifier and '.'
+tokens and rebuilds the reference lexer's tokens, so the two are still
+compared field by field."""
 from __future__ import annotations
 
 import importlib
@@ -36,8 +38,18 @@ def lex(text: str, source: str = "t.tm") -> tuple[list[oracles.Token], list]:
     the value as the parser reads it, the line and column from _Text.span."""
     src = _Text(text, source)
     words, starts, diagnostics = _lex(src)
-    tokens = []
+    pieces = []
     for word, start in zip(words, starts):
+        if "." in word and (word[0].isalpha() or word[0] == "_"):  # a path word
+            for index, name in enumerate(word.split(".")):
+                if index:
+                    pieces.append((".", start - 1))
+                pieces.append((name, start))
+                start += len(name) + 1
+        else:
+            pieces.append((word, start))
+    tokens = []
+    for word, start in pieces:
         span = src.span(start, start + len(word))
         first = word[:1]
         if not word:

@@ -55,12 +55,19 @@ def test_storage_and_child_share_namespace():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "world", "create", "receive", "a.b", 'say"no', "tab\there"]
+    "bad", ["", "world", "create", "receive", "a.b", 'say"no', "tab\there", 7]
 )
 def test_rejected_names(bad):
+    # Machines, storages and flow things are all names.
     model = StaticModel()
     with pytest.raises(InvalidNameError):
         model.add_machine(bad)
+    stage = model.add_stage(model.add_machine("m"), ActionKind.CREATE)
+    with pytest.raises(InvalidNameError):
+        model.add_storage("m", bad)
+    with pytest.raises(InvalidNameError):
+        model.add_flow(stage, stage, bad)
+    assert not model.flows and not model.storages
 
 
 def test_one_stage_per_kind():
