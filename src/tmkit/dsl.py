@@ -10,7 +10,7 @@ Concrete syntax (statements end with ';', '#' starts a line comment):
   flow [<thing>]: <path> -> <path>;
   trigger: <path> -> <path>;
   storage <thing> in <machine path>;
-  region <name> = { <path>, <path>, ... };
+  region <name> = { [<path>, <path>, ...] };
   event <name> on <region> [duration <n>] [label <string>];
   behavior {
     <event> -> <event>;
@@ -54,6 +54,7 @@ from tmkit.model import (
     DuplicateEntityError,
     InvalidNameError,
     KIND_NAMES,
+    ModelError,
     StaticModel,
     UnknownEntityError,
     has_control_character,
@@ -83,22 +84,53 @@ class RegionDecl:
 
 @dataclass(frozen=True, slots=True)
 class EventDecl:
+    """An event declaration. ValueError unless the duration is an int from 1 to
+    MAX_NUMBER and the label None or a string without control characters."""
+
     name: str
     region: str
     duration: int = 1
     label: str | None = None
     span: SourceSpan | None = None
 
+    def __post_init__(self) -> None:
+        _check_number(f"event {self.name!r} duration", self.duration)
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"event {self.name!r} label must be a string, got {self.label!r}")
+        if self.label is not None and has_control_character(self.label):
+            raise ValueError(f"event {self.name!r} label contains a control character")
+
 
 @dataclass(frozen=True, slots=True)
 class BehaviorDecl:
-    """One behavior statement: kind is "seq", "choice", "concurrent", or "repeat"."""
+    """One behavior statement. ValueError unless a "seq" or "repeat" has a source
+    and one target, a "choice" or "concurrent" group two or more, and only a repeat a bound."""
 
     kind: str
     source: str | None
     targets: tuple[str, ...]
     bound: int | None = None
     span: SourceSpan | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("seq", "choice", "concurrent", "repeat"):
+            raise ValueError(f"unknown behavior statement kind {self.kind!r}")
+        if self.kind in ("seq", "repeat") and (self.source is None or len(self.targets) != 1):
+            raise ValueError(f"a {self.kind} statement must have a source and exactly one target")
+        if self.kind in ("choice", "concurrent") and len(self.targets) < 2:
+            raise ValueError(f"a {self.kind} group needs at least two events")
+        if self.bound is not None:
+            if self.kind != "repeat":
+                raise ValueError(f"only a repeat may have a bound, not a {self.kind}")
+            _check_number("repeat bound", self.bound)
+
+
+def _check_number(what: str, value: object) -> None:
+    """A duration or a bound is an int (not a bool) from 1 to MAX_NUMBER."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_NUMBER:
+        raise ValueError(f"{what} must be >= 1" if value < 1 else f"{what} must be <= {MAX_NUMBER}")
 
 
 @dataclass(slots=True)
@@ -129,11 +161,9 @@ def document_from_parts(
     source: str = "<built>",
 ) -> ModelDocument:
     """Assemble a document programmatically; raises UnknownEntityError on
-    dangling references and ValueError on a field the text form cannot hold:
-    region and event names must pass validate_name, durations and bounds are
-    ints (not bools), labels strings, and a behavior kind is one of seq,
-    choice, concurrent and repeat. Flow things are names already:
-    StaticModel.add_flow refuses any other."""
+    dangling references and ValueError on a region or event name that
+    validate_name refuses. The model and the declarations check every other
+    field where they are made, so the document always has a text form."""
     region_decls: dict[str, RegionDecl] = {}
     for name, stage_ids in (regions or {}).items():
         _check_name("region", name)
@@ -146,21 +176,9 @@ def document_from_parts(
         _check_name("event", name)
         if event.region not in region_decls:
             raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
-        if not _is_int(event.duration):
-            raise ValueError(f"event {event.name!r} duration must be an integer, got {event.duration!r}")
-        if event.duration < 1:
-            raise ValueError(f"event {event.name!r} duration must be >= 1")
-        if event.label is not None and not isinstance(event.label, str):
-            raise ValueError(f"event {event.name!r} label must be a string, got {event.label!r}")
-        if event.label is not None and has_control_character(event.label):
-            raise ValueError(f"event {event.name!r} label contains a control character")
     for decl in behavior:
-        if decl.kind not in ("seq", "choice", "concurrent", "repeat"):
-            raise ValueError(f"behavior kind must be seq, choice, concurrent or repeat, got {decl.kind!r}")
-        if decl.bound is not None and not _is_int(decl.bound):
-            raise ValueError(f"repeat bound must be an integer, got {decl.bound!r}")
-        for name in (decl.source, *decl.targets):
-            if name is not None and name not in event_decls:
+        for name in decl.targets if decl.source is None else (decl.source, *decl.targets):
+            if name not in event_decls:
                 raise UnknownEntityError(f"behavior references unknown event {name!r}")
     if not model.frozen:
         model.freeze()
@@ -172,11 +190,6 @@ def _check_name(what: str, name: str) -> None:
         validate_name(name)
     except InvalidNameError as exc:
         raise ValueError(f"{what} name must be a valid name: {exc}") from None
-
-
-def _is_int(value: object) -> bool:
-    """An int that is not a bool: what a duration or a bound must be."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # -- lexer ------------------------------------------------------------------
@@ -603,10 +616,11 @@ class _Parser:
         self.expect("=", "after the region name")
         self.expect("{", "to open the member list")
         members: list[tuple[list[str], SourceSpan]] = []
-        members.append(self.parse_member())
-        while self.at(","):
-            self.advance()
+        if self.words[self.pos] != "}":  # empty, as a region over a stageless machine is too
             members.append(self.parse_member())
+            while self.at(","):
+                self.advance()
+                members.append(self.parse_member())
         self.expect("}", "to close the member list")
         self.expect(";", "after the region")
         self.regions.append(_RegionItem(name, self.span(name_at), members))
@@ -780,6 +794,8 @@ class _Linker:
             self.note("P5", str(exc), item.span)
         except DuplicateEntityError as exc:
             self.note("P3", str(exc), item.span)
+        except ModelError as exc:  # the root machine holds no storages
+            self.note("P4", str(exc), item.span)
 
     def endpoint(self, segments: list[str], span: SourceSpan, stages_only: bool) -> str | None:
         resolved = self.resolve(segments, span)

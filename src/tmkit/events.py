@@ -14,8 +14,9 @@ an event that only repeats is not terminal.
 
 `define_event`, `build_behavior` and `eventize` return their faults as
 diagnostics, never as exceptions: `define_event` the P5 (duration) and
-R1/R2/R3 (region) findings, `build_behavior` one B1 spanned at the statement
-at fault, and `eventize` both, region findings spanned at the event
+R1/R2/R3 (region) findings, `build_behavior` one B1 spanned at a statement
+naming an unknown event or closing a cycle without a repeat edge (BehaviorDecl
+checks the rest), and `eventize` both, region findings spanned at the event
 declaration. `build_from_document` raises ValueError for the first error.
 """
 from __future__ import annotations
@@ -173,41 +174,29 @@ def build_behavior(
     events: Mapping[str, Event], decls: Sequence[BehaviorDecl]
 ) -> tuple[BehaviorGraph | None, list[Diagnostic]]:
     """Connect events along declared statements and validate the result. A
-    behavior that cannot run is one B1, spanned at the statement at fault,
-    and no graph."""
+    statement naming an unknown event, or closing a cycle without a repeat
+    edge, is one B1 spanned at that statement, and no graph."""
     edges: list[BehaviorEdge] = []
     groups: list[Group] = []
-    choice_seq = 0
-    concurrent_seq = 0
+    made = {"choice": 0, "concurrent": 0}  # groups so far, numbered c1, c2, ... and k1, k2, ...
 
     for decl in decls:
-        for name in (decl.source, *decl.targets):
-            if name is not None and name not in events:
+        for name in decl.targets if decl.source is None else (decl.source, *decl.targets):
+            if name not in events:
                 return None, [make("B1", f"behavior references unknown event {name!r}", decl.span)]
         if decl.kind == "seq":
             edges.append(BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.SEQUENCE))
         elif decl.kind == "repeat":
-            if decl.bound is not None and decl.bound < 1:
-                return None, [make("B1", "repeat bound must be >= 1", decl.span)]
             edges.append(
                 BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.REPEAT, bound=decl.bound)
             )
-        elif decl.kind in ("choice", "concurrent"):
-            if len(decl.targets) < 2:
-                return None, [make("B1", f"a {decl.kind} group needs at least two events", decl.span)]
-            if decl.kind == "choice":
-                choice_seq += 1
-                group_id = f"c{choice_seq}"
-                kind = BehaviorEdgeKind.CHOICE
-            else:
-                concurrent_seq += 1
-                group_id = f"k{concurrent_seq}"
-                kind = BehaviorEdgeKind.CONCURRENT
+        else:
+            made[decl.kind] += 1
+            group_id = f"{'c' if decl.kind == 'choice' else 'k'}{made[decl.kind]}"
+            kind = BehaviorEdgeKind(decl.kind)
             groups.append(Group(group_id, kind, decl.source, decl.targets))
             for target in decl.targets:
                 edges.append(BehaviorEdge(decl.source, target, kind, group=group_id))
-        else:
-            return None, [make("B1", f"unknown behavior statement kind {decl.kind!r}", decl.span)]
 
     # A behavior without an initial event has a cycle, so this check covers it too.
     cycle = _unannotated_cycle(events, decls)

@@ -309,9 +309,7 @@ def import_json(text: str) -> ModelDocument:
         for entry in machines:
             if entry["id"] == ROOT_ID:
                 continue
-            parent = entry["parent"]
-            new_id = model.add_machine(entry["name"], ids[parent] if parent != ROOT_ID else None)
-            ids[entry["id"]] = new_id
+            ids[entry["id"]] = model.add_machine(entry["name"], ids[entry["parent"]])
         nodes: dict[str, str] = {}
         for entry in sorted(payload["stages"], key=lambda s: s["id"]):
             nodes[entry["id"]] = model.add_stage(ids[entry["owner"]], ActionKind(entry["kind"]))

@@ -10,7 +10,7 @@ space indentation and LF line endings.
 from __future__ import annotations
 
 from tmkit.dsl import AMBIGUOUS_NAMES, IDENT_RE, BehaviorDecl, ModelDocument
-from tmkit.model import KIND_ORDER, ROOT_ID, Machine, ModelError, StaticModel
+from tmkit.model import KIND_ORDER, ROOT_ID, Machine, StaticModel
 
 
 def emit_name(name: str) -> str:
@@ -21,10 +21,7 @@ def emit_name(name: str) -> str:
 
 
 def emit_path(entity_id: str) -> str:
-    segments = entity_id.split(".")
-    if any(not segment for segment in segments):
-        raise ModelError(f"{entity_id!r} has no textual path")
-    return ".".join(emit_name(segment) for segment in segments)
+    return ".".join(emit_name(segment) for segment in entity_id.split("."))
 
 
 def _emit_machine(model: StaticModel, machine: Machine, indent: int, lines: list[str]) -> None:
@@ -40,10 +37,10 @@ def _emit_machine(model: StaticModel, machine: Machine, indent: int, lines: list
 
 def _emit_behavior(decl: BehaviorDecl) -> str:
     if decl.kind == "seq":
-        return f"{emit_name(decl.source or '')} -> {emit_name(decl.targets[0])};"
+        return f"{emit_name(decl.source)} -> {emit_name(decl.targets[0])};"
     if decl.kind == "repeat":
         target = decl.targets[0]
-        parts = [f"repeat {emit_name(decl.source or target)}"]
+        parts = [f"repeat {emit_name(decl.source)}"]
         if target != decl.source:
             parts.append(f"-> {emit_name(target)}")
         if decl.bound is not None:
@@ -60,10 +57,7 @@ def format_document(document: ModelDocument) -> str:
     model = document.model
     sections: list[list[str]] = []
 
-    root = model.machines[ROOT_ID]
-    if root.stages or root.storages:
-        raise ModelError("stages or storages on the root machine cannot be formatted")
-    for _, child_id in sorted(root.children.items()):
+    for _, child_id in sorted(model.machines[ROOT_ID].children.items()):
         machine_lines: list[str] = []
         _emit_machine(model, model.machines[child_id], 0, machine_lines)
         sections.append(machine_lines)

@@ -1,9 +1,9 @@
 """Static-structure core: machines, stages, flows, triggers, storages, regions.
 
-A model is a tree of machines rooted at a synthetic "world" machine. Each machine
-owns at most one stage per action kind. Flow edges connect stages (or storage
-nodes) and carry an optional thing label; trigger edges connect stages across
-flow series. Models are mutable while being built and immutable after freeze().
+A model is a tree of machines under a synthetic "world" root, which holds no
+stages or storages. Each other machine owns at most one stage per action kind.
+Flow edges connect stages (or storage nodes) and carry an optional thing label;
+trigger edges connect stages across flow series. Models can change until freeze().
 
 Entity ids are deterministic:
   machine id   dotted path from the root, e.g. "mouth.moistening" (root id is "")
@@ -198,6 +198,8 @@ class StaticModel:
 
     def add_stage(self, machine_id: str, kind: ActionKind) -> str:
         self._guard_mutable()
+        if machine_id == ROOT_ID:
+            raise ModelError(f"the root machine {ROOT_NAME!r} holds no stages")
         machine = self._machine(machine_id)
         if kind in machine.stages:
             raise DuplicateEntityError(f"machine {machine.name!r} already has a {kind.value} stage")
@@ -209,6 +211,8 @@ class StaticModel:
     def add_storage(self, machine_id: str, thing: str) -> str:
         self._guard_mutable()
         validate_name(thing)
+        if machine_id == ROOT_ID:
+            raise ModelError(f"the root machine {ROOT_NAME!r} holds no storages")
         machine = self._machine(machine_id)
         self._guard_new_name(machine, thing)
         storage_id = f"{machine_id}.{thing}"
@@ -312,8 +316,7 @@ class StaticModel:
         The first segment may be the reserved root name. An entity's id is its
         path from the root, so the joined path is looked up in the stages, the
         machines and the storages, in that order. The tree is walked only when
-        that finds nothing, to word the error (or to find a stage of the root
-        itself, whose id starts with a dot): intermediate segments must name
+        that finds nothing, to word the error: intermediate segments must name
         child machines, and the final one a stage kind, a child machine or a
         storage thing (checked in that order). A segment that is empty or holds
         a dot is not a name, and its path goes straight to the walk.

@@ -17,6 +17,7 @@ from tmkit import (
     EventDecl,
     FirstDeclared,
     ModelDocument,
+    ModelError,
     SeededRandom,
     StaticModel,
     build_behavior,
@@ -89,7 +90,9 @@ def make_random_model(rng: random.Random, max_machines: int = 8, min_machines: i
 def grow_random_model(rng: random.Random, steps: int = 40):
     """Build an unfrozen model one random mutation at a time, yielding it after
     each step, so that indexes can be queried and then outgrown. Names repeat
-    on purpose: a rejected duplicate must leave the indexes as they were."""
+    and the root machine is picked on purpose: a rejected duplicate, or a
+    stage or storage that the root refuses, must leave the indexes as they
+    were."""
     model = StaticModel()
     names = ("gear", "pump", "duct", "stuff0", "stuff1")
     for _ in range(steps):
@@ -109,6 +112,8 @@ def grow_random_model(rng: random.Random, steps: int = 40):
                 model.add_trigger(rng.choice(sorted(model.stages)), rng.choice(sorted(model.stages)))
         except DuplicateEntityError:
             pass
+        except ModelError as exc:
+            assert str(exc).startswith("the root machine 'world' holds no "), exc
         yield model
 
 

@@ -202,14 +202,12 @@ def test_labels_may_carry_quotes():
 
 
 def test_labels_with_control_characters_are_rejected():
-    model = tmkit.StaticModel()
-    model.add_stage(model.add_machine("a"), tmkit.ActionKind.CREATE)
     for label in ("a\nb", "a\rb", "tab\there"):
-        event = tmkit.EventDecl("E", "r", 1, label)
         with pytest.raises(ValueError, match="control character"):
-            tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": event})
+            tmkit.EventDecl("E", "r", 1, label)
     result = parse('machine a { stage create; }\nregion r = { a };\nevent E on r label "a\tb";')
     assert codes(result) == ["P5"]
+
 
 def test_hyphenated_names_lex_against_arrows():
     result = parse(
@@ -327,6 +325,7 @@ STATEMENTS = (
     "flow: <path> -> <path>;",
     "trigger: <path> -> <path>;",
     "<storage> <name> <in> <path>;",
+    "storage <name> in world;",  # the root holds no storages: a P4
     "<region> <name> = { <path>, <path> };",
     "<event> <name> <on> <name> <duration> <number> <label> <string>;",
     "<behavior> { <name> -> <name>; <repeat> <name> -> <name> <bound> <number>; }",
@@ -452,6 +451,19 @@ def test_a_path_word_where_one_name_goes_is_split_at_its_dots():
         assert splits == 1, statement
     result = parse(head + 'region r = { "a".create, world.a };')
     assert result.ok and result.document.regions["r"].stage_ids == ("a.create",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=200) | path_word_texts())
+def test_every_parsed_document_formats_to_a_fixed_point(text):
+    document = parse(text).document
+    if document is None:
+        return
+    formatted = tmkit.format_document(document)
+    again = parse(formatted).document
+    assert again is not None, (text, formatted)
+    assert tmkit.model_digest(again.model) == tmkit.model_digest(document.model), text
+    assert tmkit.format_document(again) == formatted, text
 
 
 @settings(max_examples=200, deadline=None)

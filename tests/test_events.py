@@ -225,17 +225,14 @@ def span_at(line):
 @pytest.mark.parametrize(
     "fault, message",
     [
-        (BehaviorDecl("repeat", "B", ("A",), 0), "repeat bound must be >= 1"),
-        (BehaviorDecl("choice", "B", ("A",)), "a choice group needs at least two events"),
-        (BehaviorDecl("concurrent", None, ("A",)), "a concurrent group needs at least two events"),
-        (BehaviorDecl("loop", "B", ("A",)), "unknown behavior statement kind 'loop'"),
         (BehaviorDecl("seq", "B", ("Ghost",)), "behavior references unknown event 'Ghost'"),
+        (BehaviorDecl("choice", None, ("A", None)), "behavior references unknown event None"),
         (
             BehaviorDecl("seq", "B", ("A",)),
             "cycle through 'A' has no repeat edge; annotate it with 'repeat'",
         ),
     ],
-    ids=["bound", "choice", "concurrent", "kind", "unknown-event", "cycle"],
+    ids=["unknown-event", "none-event", "cycle"],
 )
 def test_each_b1_is_spanned_at_the_statement_at_fault(fault, message):
     decls = [
@@ -246,6 +243,33 @@ def test_each_b1_is_spanned_at_the_statement_at_fault(fault, message):
     finding = only_b1(two_step_events(), decls)
     assert finding.message == message
     assert finding.span == span_at(2)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("repeat", "B", ("A",), 0), "repeat bound must be >= 1"),
+        (("repeat", "B", ("A",), 2**63), "repeat bound must be <= 9223372036854775807"),
+        (("repeat", "B", ("A",), True), "repeat bound must be an integer, got True"),
+        (("seq", "B", ("A",), 2), "only a repeat may have a bound, not a seq"),
+        (("seq", "B", ()), "a seq statement must have a source and exactly one target"),
+        (("seq", "B", ("A", "B")), "a seq statement must have a source and exactly one target"),
+        (("seq", None, ("A",)), "a seq statement must have a source and exactly one target"),
+        (("repeat", "B", ("A", "B")), "a repeat statement must have a source and exactly one target"),
+        (("choice", "B", ("A",)), "a choice group needs at least two events"),
+        (("concurrent", None, ("A",)), "a concurrent group needs at least two events"),
+        (("loop", "B", ("A",)), "unknown behavior statement kind 'loop'"),
+    ],
+    ids=[
+        "bound", "bound-too-large", "bound-bool", "bound-on-seq", "seq-no-target", "seq-two-targets",
+        "seq-no-source", "repeat-two-targets", "choice", "concurrent", "kind",
+    ],
+)
+def test_behavior_decl_refuses_a_statement_the_text_cannot_hold(fields, message):
+    # Refused where it is made, so no document, parsed or built, holds one.
+    with pytest.raises(ValueError) as raised:
+        BehaviorDecl(*fields)
+    assert str(raised.value) == message
 
 
 def test_eventize_end_to_end():

@@ -250,25 +250,43 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
     with pytest.raises(ExportError):
         import_json(json.dumps({"schema": "tm-model/1", "machines": [{"broken": 1}]}))
     # Fields the text form cannot hold: formatted, they would not parse again,
-    # or the formatter would raise.
+    # lose data, or the formatter would raise. Behavior 0 is a seq, -1 a repeat.
     text = model_to_json(corpus["eating"], True, True)
     event = min(json.loads(text)["events"])
-    for (*parents, key), value in (
-        (("events", event, "duration"), 2.5),
-        (("events", event, "duration"), True),
-        (("events", event, "label"), ["x"]),
-        (("behavior", 0, "bound"), 1.5),
-        (("behavior", 0, "bound"), False),
-        (("behavior", 0, "kind"), 7),
-        (("behavior", 0, "kind"), "bogus"),
-        (("flows", 0, "thing"), {"x": 1}),
+    for (*parents, key), value, message in (
+        (("events", event, "duration"), 2.5, "duration must be an integer"),
+        (("events", event, "duration"), True, "duration must be an integer"),
+        (("events", event, "duration"), 2**63, "duration must be <= 9223372036854775807"),
+        (("events", event, "label"), ["x"], "label must be a string"),
+        (("behavior", -1, "bound"), 1.5, "bound must be an integer"),
+        (("behavior", -1, "bound"), False, "bound must be an integer"),
+        (("behavior", -1, "bound"), 0, "bound must be >= 1"),
+        (("behavior", 0, "bound"), 2, "only a repeat may have a bound"),
+        (("behavior", 0, "targets"), [], "must have a source and exactly one target"),
+        (("behavior", 0, "targets"), ["E3", "E4"], "must have a source and exactly one target"),
+        (("behavior", 0, "source"), None, "must have a source and exactly one target"),
+        (("behavior", -1, "targets"), ["E5", "E6"], "must have a source and exactly one target"),
+        (("behavior", 0, "kind"), "choice", "a choice group needs at least two events"),
+        (("behavior", 0, "targets"), [None], "unknown event None"),
+        (("behavior", 0, "kind"), 7, "unknown behavior statement kind 7"),
+        (("behavior", 0, "kind"), "bogus", "unknown behavior statement kind 'bogus'"),
+        (("flows", 0, "thing"), {"x": 1}, "name must be a string"),
     ):
         payload = json.loads(text)
         parent = payload
         for part in parents:
             parent = parent[part]
         parent[key] = value
-        with pytest.raises(ExportError, match="must be"):
+        with pytest.raises(ExportError, match=message):
+            import_json(json.dumps(payload))
+    # The root machine holds no stages and no storages.
+    for table, entry in (
+        ("stages", {"id": ".create", "kind": "create", "owner": ""}),
+        ("storages", {"id": ".jar", "owner": "", "thing": "jar"}),
+    ):
+        payload = json.loads(text)
+        payload[table].append(entry)
+        with pytest.raises(ExportError, match=f"the root machine 'world' holds no {table}"):
             import_json(json.dumps(payload))
     # Region and event names the text form refuses, renamed at every use.
     region = min(json.loads(text)["regions"])

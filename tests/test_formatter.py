@@ -19,6 +19,16 @@ def test_empty_document_formats_to_nothing():
     assert canon("# only a comment") == ""
 
 
+def test_an_empty_region_formats_to_text_that_parses():
+    # A region over stageless machines has no stage to write: its member list
+    # comes out empty, which the grammar takes. Its event is still an R1.
+    for text in ("region r = { world };", "machine b { machine c { } }\nregion r = { b };\nevent E on r;"):
+        formatted = canon(text)
+        assert "region r = {  };" in formatted
+        assert canon(formatted) == formatted
+    assert [d.code for d in tmkit.load(canon(text)).diagnostics] == ["R1"]
+
+
 def test_sections_come_out_sorted_and_spaced():
     text = canon(
         "flow: b.transfer -> b.receive;\n"

@@ -12,6 +12,7 @@ from tmkit import (
     load,
     parse,
 )
+from tmkit.cli import main
 
 # Behavior cycle without a repeat edge: B1 at the statement that closes it.
 CYCLE = """\
@@ -40,6 +41,14 @@ flow: a.release -> a.transfer;
 flow: a.transfer -> a.receive;
 region r = { a.create, a.release, a.transfer };
 event A on r;
+"""
+
+# The root machine holds no storages (nor stages): one P4 at the statement,
+# and `tmkit parse --canonical` reports it instead of raising.
+ROOT_STORAGE = """\
+machine a { stage create; stage release; }
+storage x in world;
+flow: a.create -> a.release;
 """
 
 # A minimal model for every catalogued code. A code missing here fails the
@@ -114,6 +123,19 @@ def test_eventize_spans_b1_at_the_statement_closing_the_cycle():
     assert finding.code == "B1" and "no repeat edge" in finding.message
     assert (finding.span.line, finding.span.column) == (7, 20)  # "B -> A;"
     assert graph is None
+
+
+def test_a_storage_in_the_root_machine_is_one_p4(tmp_path, capsys):
+    loaded = load(ROOT_STORAGE, source="m.tm")
+    assert [d.render() for d in loaded.diagnostics] == [
+        "m.tm:2:1: error P4: the root machine 'world' holds no storages"
+    ]
+    assert loaded.document is None
+    path = tmp_path / "m.tm"
+    path.write_text(ROOT_STORAGE, encoding="utf-8")
+    assert main(["parse", str(path), "--canonical"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{path}:2:1: error P4: the root machine 'world' holds no storages\n"
 
 
 def test_build_from_document_raises_the_first_error():

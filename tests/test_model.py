@@ -10,6 +10,7 @@ from tmkit import (
     DuplicateEntityError,
     FrozenModelError,
     InvalidNameError,
+    ModelError,
     StaticModel,
     UnknownEntityError,
 )
@@ -76,6 +77,17 @@ def test_one_stage_per_kind():
     model.add_stage(mid, ActionKind.CREATE)
     with pytest.raises(DuplicateEntityError):
         model.add_stage(mid, ActionKind.CREATE)
+
+
+def test_the_root_machine_holds_no_stages_or_storages():
+    # The text form has no syntax for them, so the model refuses them.
+    model = build_two_machines()
+    with pytest.raises(ModelError, match="the root machine 'world' holds no stages"):
+        model.add_stage("", ActionKind.CREATE)
+    with pytest.raises(ModelError, match="the root machine 'world' holds no storages"):
+        model.add_storage("", "jar")
+    assert not model.machines[""].stages and not model.machines[""].storages
+    assert set(model.stages) == {"a.transfer", "a.b.transfer", "a.b.receive"} and not model.storages
 
 
 def test_flow_endpoints_must_exist():

@@ -207,7 +207,7 @@ def test_cutoff_archives_the_slow_predecessor():
 def test_first_declared_takes_the_first_member():
     graph = graph_of(
         [("A", 1), ("B", 1), ("C", 1)],
-        [BehaviorDecl("seq", "A", ()), BehaviorDecl("choice", "A", ("B", "C"))][1:],
+        [BehaviorDecl("choice", "A", ("B", "C"))],
     )
     trace = run(graph, FirstDeclared(), horizon=10)
     assert trace.ticks[1].choices == (("c1", "B"),)
