@@ -5,6 +5,7 @@ rules before the engine ran, then frozen here.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from tmkit import (
     run,
     step,
 )
+from tmkit.cli import main
 from tmkit.sim import RecordStore
 
 import oracles
@@ -544,3 +546,120 @@ def test_digest_is_stable_and_sensitive():
         ],
     )
     assert tmkit.behavior_digest(graph) != tmkit.behavior_digest(other)
+
+
+# -- golden traces -------------------------------------------------------------
+
+# Shaped like the long-horizon benchmark model: a concurrent fork, an unbounded
+# repeat loop L1 -> L2 -> L3 -> L1 and a bounded self-repeat B that ends early,
+# so the run has archiving ticks, idle ticks and a shrinking live set.
+LONG_RUN = """
+machine m0 { stage create; stage process; stage release; }
+machine m1 { stage create; stage process; stage release; }
+machine m2 { stage create; stage process; stage release; }
+machine m3 { stage create; stage process; stage release; }
+machine m4 { stage create; stage process; stage release; }
+flow: m0.create -> m0.process;
+flow: m0.process -> m0.release;
+flow: m1.create -> m1.process;
+flow: m1.process -> m1.release;
+flow: m2.create -> m2.process;
+flow: m2.process -> m2.release;
+flow: m3.create -> m3.process;
+flow: m3.process -> m3.release;
+flow: m4.create -> m4.process;
+flow: m4.process -> m4.release;
+region r0 = { m0 };
+region r1 = { m1 };
+region r2 = { m2 };
+region r3 = { m3 };
+region r4 = { m4 };
+event S on r0 duration 2;
+event L1 on r1 duration 3;
+event L2 on r2 duration 1;
+event L3 on r3 duration 2;
+event B on r4 duration 2;
+behavior {
+  S -> concurrent { L1, B };
+  L1 -> L2;
+  L2 -> L3;
+  repeat L3 -> L1;
+  repeat B bound 3000;
+}
+"""
+
+# sha256 of the CLI's stdout and of the trace file it writes, recorded from
+# the tick kernel before it was reworked: any change to the run's semantics or
+# to the trace bytes shows up here.
+GOLDEN_TRACES = [
+    (
+        "eating --policy first --horizon 1000",
+        "4c0680bb36741f6b462dc1ee49e7b16e70dc76e71dfb84f39e107e79443ee346",
+        "31c3f34bd9e24f5a6b0acb90d05d98b0d0b64e7f977593e82393a98dd03b1e59",
+    ),
+    (
+        "eating --policy random --seed 3 --horizon 1000",
+        "4c0680bb36741f6b462dc1ee49e7b16e70dc76e71dfb84f39e107e79443ee346",
+        "6afb72e488f1b2bb44974776295f0d0e1a3fe785ad99e399df37309c89d5552f",
+    ),
+    (
+        "eating --policy random --seed 99 --horizon 1000",
+        "4c0680bb36741f6b462dc1ee49e7b16e70dc76e71dfb84f39e107e79443ee346",
+        "361518a8300fe4a0e3f04c155cb3f2de498669915b4b193403de1c82d9d3356f",
+    ),
+    (
+        "ball --policy first --horizon 1000",
+        "44f324caa2fb1d5670b95d69e89e2716e0d51616e55ffbdf87ec1f22e78bd7f1",
+        "4afb2db79d8b4e818fb84ec938cf125476204a4fd4d252b8c9aa8e4527bc3566",
+    ),
+    (
+        "ball --policy random --seed 3 --horizon 1000",
+        "44f324caa2fb1d5670b95d69e89e2716e0d51616e55ffbdf87ec1f22e78bd7f1",
+        "13f735bb070e6fba448843bb43c0221c9ccf9de5ea59ed39c476ceb952d1712a",
+    ),
+    (
+        "ball --policy random --seed 99 --horizon 1000",
+        "44f324caa2fb1d5670b95d69e89e2716e0d51616e55ffbdf87ec1f22e78bd7f1",
+        "7a944b65f97bc25acff4f79fa17db57241866fc3abc67d065d8a450167faa79c",
+    ),
+    (
+        "disaster --policy first --horizon 1000",
+        "d6b8c00a0f7f2e8b90eea7d7d35ef57d609e731926d7e093a242d3bfcf4d6adf",
+        "ae0a0c7bb9459027d03c76b8f46f4f2429af6778bcab6d93ed5348e421cb608b",
+    ),
+    (
+        "disaster --policy random --seed 3 --horizon 1000",
+        "d6b8c00a0f7f2e8b90eea7d7d35ef57d609e731926d7e093a242d3bfcf4d6adf",
+        "d73b4546a8d6789b91307a35b2bd38d4be5d2f0b644c0060bc9b2aa463eeee57",
+    ),
+    (
+        "disaster --policy random --seed 99 --horizon 1000",
+        "d6b8c00a0f7f2e8b90eea7d7d35ef57d609e731926d7e093a242d3bfcf4d6adf",
+        "844dd1225e5ec95ba38bcdaa1ccd5fb5ef6b6a86840b4f3388ba17feabc4a4f6",
+    ),
+    (
+        "disaster --policy scripted:Es2 --seed 7 --horizon 30",
+        "23e345770c09f63a17f88175a1ccc38f91197211c76d8d15ddacecc4dee6a9e8",
+        "7253dc9888809f90f66bc9d257a12e7164d7c518ab4e749e476658de657d1422",
+    ),
+    (
+        "long --policy first --horizon 10000",
+        "9b404a8cc9b9beb763b6bb32744eb1f6704337264e39a488271f3e773ca03f0d",
+        "9156008a1b0a3a58f018ba563decc4149a115b65b9ea6caee4060aa8b4729cda",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, stdout_sha, trace_sha", GOLDEN_TRACES, ids=[row[0] for row in GOLDEN_TRACES]
+)
+def test_simulate_output_matches_its_golden_digest(command, stdout_sha, trace_sha, tmp_path, monkeypatch, capsys):
+    name, *options = command.split()
+    text = LONG_RUN if name == "long" else tmkit.corpus_text(name)
+    (tmp_path / f"{name}.tm").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", f"{name}.tm", *options, "--trace", "trace.json"]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    trace = (tmp_path / "trace.json").read_bytes()
+    assert hashlib.sha256(stdout).hexdigest() == stdout_sha
+    assert hashlib.sha256(trace).hexdigest() == trace_sha
