@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 from tmkit.diagnostics import Diagnostic, has_errors, make
-from tmkit.dsl import BehaviorDecl, ModelDocument
+from tmkit.dsl import MAX_NUMBER, BehaviorDecl, ModelDocument
 from tmkit.model import Region, StaticModel
 from tmkit.validate import check_region
 
@@ -155,13 +155,15 @@ def define_event(
     label: str | None = None,
 ) -> tuple[Event | None, list[Diagnostic]]:
     """Carve an event out of the model, with the findings about it: P5 on a
-    duration that is not a whole number of ticks, at least one, and the
-    R1/R2/R3 findings of its region. A disconnected region (R2) is only a
-    warning; on an error the event is None."""
+    duration that is not a whole number of ticks from 1 to MAX_NUMBER (the
+    bound EventDecl keeps), and the R1/R2/R3 findings of its region. A
+    disconnected region (R2) is only a warning; on an error the event is None."""
     if isinstance(duration, bool) or not isinstance(duration, int):
         return None, [make("P5", f"duration must be an integer, got {duration!r}", subject=name)]
     if duration < 1:
         return None, [make("P5", f"duration must be >= 1, got {duration}", subject=name)]
+    if duration > MAX_NUMBER:
+        return None, [make("P5", f"duration must be <= {MAX_NUMBER}, got {duration}", subject=name)]
     members = frozenset(stage_ids)
     region = model.subdiagram(members) if members else None
     findings = check_region(model, members, name, region)

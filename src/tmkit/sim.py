@@ -18,15 +18,20 @@ per-event generation counts, and it builds an EventInstance only when it
 archives one. step() is pure: it copies a SimState into those structures,
 makes every live instance a candidate for completion, and wraps the result in
 a new SimState, never mutating its input. run() drives _tick directly, with
-no SimState per tick. A tick that archives nothing starts nothing either, so
+no SimState per tick. A tick for which the calendar holds nothing returns
+after one dict pop. A tick that archives nothing starts nothing either, so
 run() then hands on the previous live tuple: ticks[i].live may be the very
 tuple object of ticks[i-1].live.
 
-The record is a persistent chain of per-tick chunks: a tick that archives
-something adds one chunk in front of the old chain and shares the rest, so a
-tick costs what it archives, not what the run has archived so far, and
-histories that branch from one state stay independent. All iteration is over
-sorted or declared orders, so runs are bit-reproducible.
+The record is a persistent chain of chunks: extending it adds one chunk in
+front of the old chain and shares the rest, so extending costs what is added,
+not what the record already holds, and histories that branch from one state
+stay independent. step() adds one chunk per tick that archives something;
+run() gathers the whole run's archive in one flat list and adds it as one
+chunk at the end, so a run allocates per archived instance, not per tick. An
+EventInstance is a tuple (a NamedTuple whose constructor checks its fields),
+cheaper to build than a frozen dataclass. All iteration is over sorted or
+declared orders, so runs are bit-reproducible.
 
 On completion of an instance, its event's outbound edges fire in declaration
 order: Sequence instantiates the target; Choice asks the policy for one member
@@ -60,6 +65,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 from tmkit.events import BehaviorEdgeKind, BehaviorGraph, Group
 
@@ -76,8 +82,7 @@ class ScriptedExhaustedError(SimulationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class EventInstance:
+class _InstanceFields(NamedTuple):
     iid: str  # "<event>#<generation>"
     event: str
     generation: int
@@ -85,22 +90,37 @@ class EventInstance:
     duration: int
     end: int | None = None  # archive tick
 
-    def __post_init__(self) -> None:
-        if self.generation < 1 or self.duration < 1 or self.start < 0:
-            raise ValueError(f"malformed instance {self.iid}")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError(f"instance {self.iid} archived at or before its start")
+
+class EventInstance(_InstanceFields):
+    """One instance of an event: an immutable tuple record of its fields."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, iid: str, event: str, generation: int, start: int, duration: int, end: int | None = None
+    ) -> EventInstance:
+        if generation < 1 or duration < 1 or start < 0:
+            raise ValueError(f"malformed instance {iid}")
+        if end is not None and end <= start:
+            raise ValueError(f"instance {iid} archived at or before its start")
+        return tuple.__new__(cls, (iid, event, generation, start, duration, end))
+
+    @classmethod
+    def _make(cls, iterable) -> EventInstance:  # _replace goes through here: keep the checks
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RecordStore:
     """Append-only archive of past instances, ordered by (end, event, generation).
 
-    A persistent chain of per-tick chunks: `chunk` holds what one tick
-    archived, `parent` the record before that tick, and `size` the number of
-    entries in the whole chain. extended() never copies or mutates the chain it
-    extends, so every earlier record stays valid and two histories that branch
-    from one state share their common past. Equality compares entries.
+    A persistent chain of chunks: `chunk` holds what one extension archived
+    (one tick's archive under step(), a whole run's under run()), `parent` the
+    record before it, and `size` the number of entries in the whole chain.
+    extended() never copies or mutates the chain it extends, so every earlier
+    record stays valid and two histories that branch from one state share their
+    common past. Equality and hash compare entries, so how the entries are
+    split into chunks is not observable.
     """
 
     chunk: tuple[EventInstance, ...] = ()
@@ -108,7 +128,7 @@ class RecordStore:
     size: int = 0
 
     def extended(self, instances: list[EventInstance]) -> RecordStore:
-        """This record plus one tick's archive (already in record order)."""
+        """This record plus `instances`, which follow it in record order."""
         if not instances:
             return self
         return RecordStore(tuple(instances), self, self.size + len(instances))
@@ -289,12 +309,14 @@ def _tick(
     Returns the instances archived at t, in record order, the choices taken,
     and the new rng state, script position and terminal flag. Raises what the
     policy raises, with `live`, `calendar` and `generations` part-changed."""
+    due = calendar.pop(t, None)
+    if due is None:
+        return [], (), rng_state, script_pos, terminal_hit
     durations = behavior._durations
-    completed = sorted(
-        event for event in calendar.pop(t, ()) if event in live and t - live[event][2] >= durations[event]
-    )
+    completed = [event for event in due if event in live and t - live[event][2] >= durations[event]]
     if not completed:
         return [], (), rng_state, script_pos, terminal_hit
+    completed.sort()
     archived = [_archived(event, live.pop(event), durations[event], t) for event in completed]
     if not terminal_hit:
         terminal_hit = not behavior.terminal.isdisjoint(completed)
@@ -388,10 +410,11 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
     calendar: dict[int, list[str]] = {}
     for event, (_, _, start) in live.items():
         calendar.setdefault(start + behavior._durations[event], []).append(event)
-    generations, record = state.generations, state.record
+    generations = state.generations
     rng_state, script_pos, terminal_hit = state.rng_state, state.script_pos, state.terminal_hit
     live_ids = _live_ids(live)
     snapshots = [TickSnapshot(0, live_ids, (), state.choices)]
+    flat: list[EventInstance] = []  # every tick's archive, in record order
     t = 0
     while live and t < horizon:
         t += 1
@@ -403,13 +426,14 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
             termination = "scripted-exhausted"
             break
         if archived:
-            record = record.extended(archived)
+            flat += archived
             live_ids = _live_ids(live)
             snapshots.append(TickSnapshot(t, live_ids, tuple(map(_IID, archived)), choices))
         else:  # nothing completed, so nothing started: the live set is the same
             snapshots.append(TickSnapshot(t, live_ids, (), ()))
     else:
         termination = "horizon" if live else "terminal-reached" if terminal_hit else "deadlock"
+    record = state.record.extended(flat)
     return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, record)
 
 
@@ -442,10 +466,14 @@ def race_report(behavior: BehaviorGraph, trace: SimTrace, stream_a: str, stream_
             raise SimulationError(f"{root!r} is not a stream of any concurrent fork")
 
     final_live = set(trace.ticks[-1].live) if trace.ticks else set()
+    last_end: dict[str, int] = {}  # event -> the latest archive tick of its instances
+    for inst in trace.record.entries:
+        if inst.end is not None:
+            last_end[inst.event] = max(inst.end, last_end.get(inst.event, inst.end))
 
     def finish(root: str) -> int | None:
         members = behavior.reachable_events(root)
-        ends = [inst.end for inst in trace.record.entries if inst.event in members and inst.end is not None]
+        ends = [last_end[event] for event in members if event in last_end]
         live_here = any(iid.rsplit("#", 1)[0] in members for iid in final_live)
         if not ends or live_here:
             return None

@@ -11,15 +11,19 @@ from tmkit import (
     ActionKind,
     BehaviorDecl,
     BehaviorEdgeKind,
+    EventDecl,
     SourceSpan,
     StaticModel,
     build_behavior,
     coverage,
     define_event,
     eventize,
+    has_errors,
     overlap,
     parse,
 )
+
+from tmkit.dsl import MAX_NUMBER
 
 import oracles
 from conftest import make_random_behavior
@@ -93,6 +97,16 @@ def test_event_duration_must_be_positive():
         assert findings_of(findings) == [
             ("P5", "Eodd", f"duration must be an integer, got {duration!r}")
         ]
+    # the upper bound is EventDecl's, so the API and the text form agree
+    event, findings = define_event(chain_model(), "Ehuge", ["a.create"], duration=MAX_NUMBER + 1)
+    assert event is None
+    assert findings_of(findings) == [
+        ("P5", "Ehuge", f"duration must be <= {MAX_NUMBER}, got {MAX_NUMBER + 1}")
+    ]
+    with pytest.raises(ValueError, match=f"duration must be <= {MAX_NUMBER}"):
+        EventDecl("Ehuge", "r", MAX_NUMBER + 1)
+    event, findings = define_event(chain_model(), "Elong", ["a.create"], duration=MAX_NUMBER)
+    assert event is not None and event.duration == MAX_NUMBER and not has_errors(findings)
 
 
 def two_events():

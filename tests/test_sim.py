@@ -427,6 +427,36 @@ def test_the_fold_meets_every_termination():
     assert any(started_earlier for _, _, started_earlier in found)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"generation": 0}, "malformed instance A#1"),
+        ({"duration": 0}, "malformed instance A#1"),
+        ({"start": -1}, "malformed instance A#1"),
+        ({"start": 4, "end": 4}, "instance A#1 archived at or before its start"),
+    ],
+)
+def test_event_instance_refuses_malformed_fields(fields, message):
+    kwargs = {"iid": "A#1", "event": "A", "generation": 1, "start": 0, "duration": 1, **fields}
+    with pytest.raises(ValueError, match=message):
+        EventInstance(**kwargs)
+    with pytest.raises(ValueError, match=message):  # a copy with changed fields is checked too
+        EventInstance("A#1", "A", 1, 0, 1)._replace(**fields)
+
+
+def test_event_instance_is_an_immutable_value():
+    live = EventInstance(iid="A#1", event="A", generation=1, start=0, duration=2)
+    assert live.end is None
+    assert (live.iid, live.event, live.generation, live.start, live.duration) == ("A#1", "A", 1, 0, 2)
+    with pytest.raises(AttributeError):
+        live.end = 2
+    done = EventInstance("A#1", "A", 1, 0, 2, 2)
+    assert done == EventInstance(iid="A#1", event="A", generation=1, start=0, duration=2, end=2)
+    assert hash(done) == hash(EventInstance("A#1", "A", 1, 0, 2, 2))
+    assert done != live and {done, live} == {live, done}
+    assert repr(done) == "EventInstance(iid='A#1', event='A', generation=1, start=0, duration=2, end=2)"
+
+
 def test_record_chain_compares_hashes_and_frees_without_recursion():
     done = EventInstance("A#1", "A", 1, start=0, duration=1, end=1)
     one, other = RecordStore(), RecordStore()
