@@ -65,7 +65,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from tmkit.events import BehaviorEdgeKind, BehaviorGraph, Group
 
@@ -92,7 +92,8 @@ class _InstanceFields(NamedTuple):
 
 
 class EventInstance(_InstanceFields):
-    """One instance of an event: an immutable tuple record of its fields."""
+    """One instance of an event, live (end None) or archived. A tuple, which
+    is cheap to build; the constructor checks the fields."""
 
     __slots__ = ()
 
@@ -106,7 +107,8 @@ class EventInstance(_InstanceFields):
         return tuple.__new__(cls, (iid, event, generation, start, duration, end))
 
     @classmethod
-    def _make(cls, iterable) -> EventInstance:  # _replace goes through here: keep the checks
+    def _make(cls, iterable: Iterable[object]) -> EventInstance:
+        """_replace builds its copy here, so a copy is checked too."""
         return cls(*iterable)
 
 
