@@ -216,6 +216,22 @@ def test_first_declared_takes_the_first_member():
     assert "B#1" in live_at(trace, 1)
 
 
+def test_events_completing_together_fire_in_name_order():
+    # Z starts before A, but at tick 1 A's choice is taken first
+    graph = graph_of(
+        [("Z", 1), ("A", 1), ("P", 1), ("Q", 1), ("R", 1), ("S", 1)],
+        [
+            BehaviorDecl("concurrent", None, ("Z", "A")),
+            BehaviorDecl("choice", "Z", ("P", "Q")),
+            BehaviorDecl("choice", "A", ("R", "S")),
+        ],
+    )
+    trace = run(graph, FirstDeclared(), horizon=10)
+    assert trace.ticks[1].choices == (("c2", "R"), ("c1", "P"))
+    state = step(init(graph, FirstDeclared()), graph, FirstDeclared())
+    assert state.choices == (("c2", "R"), ("c1", "P"))
+
+
 def test_seeded_choice_follows_the_stated_recurrence():
     # state' = (1664525 * state + 1013904223) mod 2^32; index = state' mod n
     graph = graph_of(
@@ -453,7 +469,7 @@ def test_event_instance_is_an_immutable_value():
     done = EventInstance("A#1", "A", 1, 0, 2, 2)
     assert done == EventInstance(iid="A#1", event="A", generation=1, start=0, duration=2, end=2)
     assert hash(done) == hash(EventInstance("A#1", "A", 1, 0, 2, 2))
-    assert done != live and {done, live} == {live, done}
+    assert done != live and len({done, live, EventInstance("A#1", "A", 1, 0, 2, 2)}) == 2
     assert repr(done) == "EventInstance(iid='A#1', event='A', generation=1, start=0, duration=2, end=2)"
 
 
