@@ -139,6 +139,13 @@ def test_simulate_scripted_choice_mismatch_fails(corpus_file, capsys):
     assert "script" in capsys.readouterr().err
 
 
+def test_simulate_refuses_an_empty_script(corpus_file, capsys):
+    assert main(["simulate", corpus_file("disaster"), "--policy", "scripted:"]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err == "error: scripted policy needs at least one event name\n"
+
+
 def test_export_json_stdout_and_dot_file(corpus_file, tmp_path, capsys):
     path = corpus_file("ball")
     assert main(["export", path, "--format", "json", "--regions"]) == 0
@@ -173,12 +180,15 @@ def test_usage_errors_exit_two(corpus_file):
 
 
 def test_console_entry_point_runs():
+    # `tmkit/__init__` imports `load` from `tmkit.cli` lazily: an eager import
+    # puts `tmkit.cli` in sys.modules before `-m` runs it, and runpy warns.
     proc = subprocess.run(
-        [sys.executable, "-m", "tmkit.cli", "--help"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tmkit.cli", "--help"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert "parse" in proc.stdout and "simulate" in proc.stdout
 
 

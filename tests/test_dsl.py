@@ -126,6 +126,52 @@ def test_p5_invalid_values():
     )
 
 
+# Declarations every case below builds on: a machine with a child, a region, an event.
+LINKED = "machine a { stage create; machine b { stage create; } }\nregion r = { a };\nevent e on r;\n"
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("machine a { stage create; stage create; }", "1:33: error P3: machine 'a' already has a create stage"),
+        (LINKED + "storage world in a;", "4:1: error P5: 'world' names the root machine and is reserved"),
+        (LINKED + "storage x in a;\nstorage x in a;", "5:1: error P3: machine or storage 'x' already exists in 'a'"),
+        (LINKED + "storage b in a;", "4:1: error P3: machine or storage 'b' already exists in 'a'"),
+        (LINKED + "region world = { a };", "4:8: error P5: 'world' names the root machine and is reserved"),
+        (LINKED + "event e on r;", "4:7: error P3: event 'e' is already declared"),
+        (LINKED + "event process on r;", "4:7: error P5: 'process' is a stage kind and is reserved"),
+        (LINKED + "behavior { repeat e bound 0; }", "4:27: error P5: bound must be >= 1"),
+        (LINKED + "event f on r duration 2 duration 3;", "4:34: error P2: duplicate 'duration' clause"),
+        (LINKED + 'event f on r label "x" label "y";', "4:30: error P2: duplicate 'label' clause"),
+    ],
+    ids=[
+        "duplicate-stage",
+        "storage-named-world",
+        "duplicate-storage",
+        "storage-named-like-a-child",
+        "region-named-world",
+        "duplicate-event",
+        "event-named-like-a-kind",
+        "bound-zero",
+        "second-duration",
+        "second-label",
+    ],
+)
+def test_each_refused_declaration_is_one_finding_at_its_place(text, rendered):
+    result = parse(text, "m.tm")
+    assert [d.render() for d in result.diagnostics] == [f"m.tm:{rendered}"]
+    assert result.document is None
+
+
+def test_document_from_parts_refuses_dangling_region_and_event_references():
+    model = tmkit.StaticModel()
+    model.add_stage(model.add_machine("a"), tmkit.ActionKind.CREATE)
+    with pytest.raises(tmkit.UnknownEntityError, match="region 'r' references unknown stage 'b.create'"):
+        tmkit.document_from_parts(model, {"r": ("a.create", "b.create")})
+    with pytest.raises(tmkit.UnknownEntityError, match="event 'E' references unknown region 'q'"):
+        tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": tmkit.EventDecl("E", "q")})
+
+
 def test_numbers_above_the_largest_are_p5_at_their_span():
     head = "machine a { stage create; }\nregion r = { a };\nevent e on r;\n"
     for clause, tail in (("event f on r duration ", ";"), ("behavior { repeat e bound ", "; }")):

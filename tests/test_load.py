@@ -2,13 +2,19 @@
 diagnostic, and `eventize` turns region and behavior faults into R1-R3/B1."""
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+
 import pytest
 
 from tmkit import (
     CATALOGUE,
     build_from_document,
+    corpus_names,
     corpus_text,
     eventize,
+    format_document,
     load,
     parse,
 )
@@ -143,3 +149,90 @@ def test_build_from_document_raises_the_first_error():
         build_from_document(parse(STAGELESS).document)
     with pytest.raises(ValueError, match="B1"):
         build_from_document(parse(CYCLE).document)
+
+
+# A word of the text language: a quoted string, an arrow, one punctuation
+# character, or a run of other characters. Blanks are kept as their own words.
+_WORD = re.compile(r'"[^"\n]*"|->|[{};:,|=.]|[^\s{};:,|=."]+|\s+')
+
+# Words a corruption may put in: keywords, reserved names, a name with a dot,
+# out-of-range and zero numbers, punctuation, a stray character.
+_FOREIGN_WORDS = (
+    "world", "process", "machine", "stage", "storage", "region", "event", "repeat",
+    "bound", "duration", "label", '"a.b"', '""', "0", "99999999999999999999",
+    "{", "}", ";", ":", "->", ".", ",", "|", "=", "$",
+)
+
+
+_KEYWORDS = frozenset(
+    "machine stage flow trigger storage in region event on duration label behavior"
+    " choice concurrent repeat bound".split()
+)
+
+
+def corrupted(text: str, rng: random.Random) -> str:
+    """`text`, its comments dropped, after one or two word edits: delete,
+    repeat or swap a word, put in a foreign word, or (as often as all of
+    those) put another name of the same text in place of one name or of
+    every use of a name."""
+    words = _WORD.findall(re.sub(r"#[^\n]*", "", text))
+    spots = [at for at, word in enumerate(words) if not word.isspace()]
+    name_spots = [at for at in spots if words[at][0].isalpha() and words[at] not in _KEYWORDS]
+    names = sorted({words[at] for at in name_spots})
+    for _ in range(rng.randrange(1, 3)):
+        at = rng.choice(spots)
+        edit = rng.randrange(8)
+        if edit == 0:
+            words[at] = ""
+        elif edit == 1:
+            words[at] = f"{words[at]} {words[at]}"
+        elif edit == 2:
+            other = rng.choice(spots)
+            words[at], words[other] = words[other], words[at]
+        elif edit == 3:
+            words[at] = f" {rng.choice(_FOREIGN_WORDS)} "
+        elif edit < 6:
+            words[rng.choice(name_spots)] = rng.choice(names)
+        else:  # rename everywhere, so that references may still resolve
+            old, new = rng.choice(names), rng.choice((*names, "world", "process", "x-1"))
+            words = [new if word == old else word for word in words]
+    return "".join(words)
+
+
+def front_end_inputs(mutants: int = 300, seed: int = 15) -> list[tuple[str, str]]:
+    """(source, text) for the corpus models and `mutants` corrupted copies of them."""
+    rng = random.Random(seed)
+    names = corpus_names()
+    inputs = [(f"{name}.tm", corpus_text(name)) for name in names]
+    for index in range(mutants):
+        name = names[index % len(names)]
+        inputs.append((f"{name}-{index}.tm", corrupted(corpus_text(name), rng)))
+    return inputs
+
+
+# Recorded before the parser's recovery loops and the linker's refusal table
+# were each folded into one place; the corpus and 29 of the mutants parse.
+ACCEPTED = 32
+DIAGNOSTICS_DIGEST = "0c6c62b49c7938c6f3ad68e943b5d9e71526367d5e99ce8ebf8fcf359e72b2f6"
+CANONICAL_DIGEST = "b731cdaecd94e1cdb7d77b05859e483c9209d48ae63463df620808facde0e4de"
+
+
+def test_front_end_output_matches_its_golden_digest():
+    """The rendered `parse` and `load` diagnostics and the canonical text of
+    every document that parses, hashed over the corpus and 300 corrupted
+    copies. A change to any diagnostic field, span or canonical byte moves a
+    digest; one that changes neither keeps both."""
+    diagnostics = hashlib.sha256()
+    canonical = hashlib.sha256()
+    accepted = 0
+    for source, text in front_end_inputs():
+        result = parse(text, source)
+        rendered = [d.render() for d in result.diagnostics]
+        rendered += ["--", *(d.render() for d in load(text, source).diagnostics), ""]
+        diagnostics.update("\n".join([source, *rendered]).encode("utf-8"))
+        if result.document is not None:
+            accepted += 1
+            canonical.update(f"{source}\n{format_document(result.document)}".encode("utf-8"))
+    assert accepted == ACCEPTED
+    assert diagnostics.hexdigest() == DIAGNOSTICS_DIGEST
+    assert canonical.hexdigest() == CANONICAL_DIGEST

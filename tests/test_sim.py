@@ -565,6 +565,21 @@ def test_race_with_an_unfinished_stream():
     report = race_report(graph, partial, "X", "Y")
     assert report.finish_a == 2 and report.finish_b is None
     assert report.winner == "X" and report.margin is None
+    reversed_report = race_report(graph, partial, "Y", "X")  # only stream b finished
+    assert (reversed_report.finish_a, reversed_report.finish_b) == (None, 2)
+    assert reversed_report.winner == "X" and reversed_report.margin is None
+    assert not reversed_report.tie
+
+
+def test_race_with_no_finished_stream():
+    graph = graph_of(
+        [("X", 5), ("Y", 5)],
+        [BehaviorDecl("concurrent", None, ("X", "Y"))],
+    )
+    partial = run(graph, FirstDeclared(), horizon=3)  # both still going
+    report = race_report(graph, partial, "X", "Y")
+    assert (report.finish_a, report.finish_b, report.winner, report.margin) == (None, None, None, None)
+    assert not report.tie
 
 
 def test_disaster_race_report(corpus):
