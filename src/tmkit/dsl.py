@@ -47,6 +47,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Callable
 
 from tmkit.diagnostics import Diagnostic, SourceSpan, has_errors, make
 from tmkit.model import (
@@ -350,15 +351,6 @@ class _RegionItem:
     members: list[tuple[list[str], SourceSpan]]
 
 
-@dataclass(slots=True)
-class _EventItem:
-    name: str
-    name_span: SourceSpan
-    region: str
-    duration: int
-    label: str | None
-
-
 class _Bail(Exception):
     pass
 
@@ -378,7 +370,7 @@ class _Parser:
         self.triggers: list[_TriggerItem] = []
         self.storages: list[_StorageItem] = []
         self.regions: list[_RegionItem] = []
-        self.events: list[_EventItem] = []
+        self.events: list[EventDecl] = []
         self.behavior: list[BehaviorDecl] = []
 
     # -- plumbing --
@@ -427,8 +419,7 @@ class _Parser:
         return self.src.span(self.starts[first], self.starts[last] + len(self.words[last]))
 
     def error(self, message: str, at: int | None = None, code: str = "P2") -> None:
-        if len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(make(code, message, self.span(self.pos if at is None else at)))
+        self.note(code, message, self.span(self.pos if at is None else at))
         raise _Bail()
 
     def note(self, code: str, message: str, span: SourceSpan | None) -> None:
@@ -496,6 +487,21 @@ class _Parser:
                 return
             self.pos += 1
 
+    def statements(self, parse_one: Callable[[], None], close: str | None) -> None:
+        """Call parse_one for each statement up to `close` (None: the end of
+        input). A statement that fails is skipped up to the next boundary, and
+        parsing stops early once MAX_DIAGNOSTICS findings are in."""
+        while self.pos < self.last and (close is None or not self.at(close)):
+            if len(self.diags) >= MAX_DIAGNOSTICS:
+                return
+            before = self.pos
+            try:
+                parse_one()
+            except _Bail:
+                self.sync()
+            if self.pos == before:
+                self.advance()  # guarantee progress on any input
+
     def skip_block(self) -> None:
         """Consume a balanced '{ ... }' without interpreting it."""
         if not self.at("{"):
@@ -513,16 +519,7 @@ class _Parser:
     # -- grammar --
 
     def parse_document(self) -> None:
-        while self.pos < self.last:
-            if len(self.diags) >= MAX_DIAGNOSTICS:
-                return
-            before = self.pos
-            try:
-                self.parse_item()
-            except _Bail:
-                self.sync()
-            if self.pos == before:
-                self.advance()  # guarantee progress on any input
+        self.statements(self.parse_item, None)
 
     def parse_item(self) -> None:
         word = self.peek()
@@ -556,30 +553,24 @@ class _Parser:
             return None
         item = _MachineItem(name, self.span(name_at))
         self.expect("{", "to open the machine body")
-        while not self.at("}") and self.pos < self.last:
-            if len(self.diags) >= MAX_DIAGNOSTICS:
-                break
-            before = self.pos
-            try:
-                if self.at("stage"):
-                    self.advance()
-                    kind_value, kind_at = self.parse_name("for the stage kind")
-                    if kind_value not in KIND_NAMES:
-                        self.error(f"unknown stage kind {kind_value!r}", kind_at)
-                    self.expect(";", "after the stage")
-                    item.stages.append(_StageItem(ActionKind(kind_value), self.span(kind_at)))
-                elif self.at("machine"):
-                    child = self.parse_machine(depth + 1)
-                    if child is not None:
-                        item.children.append(child)
-                else:
-                    self.error("expected 'stage' or 'machine' inside a machine")
-            except _Bail:
-                self.sync()
-            if self.pos == before:
-                self.advance()
+        self.statements(lambda: self.parse_machine_statement(item, depth), "}")
         self.expect("}", "to close the machine body")
         return item
+
+    def parse_machine_statement(self, item: _MachineItem, depth: int) -> None:
+        if self.at("stage"):
+            self.advance()
+            kind_value, kind_at = self.parse_name("for the stage kind")
+            if kind_value not in KIND_NAMES:
+                self.error(f"unknown stage kind {kind_value!r}", kind_at)
+            self.expect(";", "after the stage")
+            item.stages.append(_StageItem(ActionKind(kind_value), self.span(kind_at)))
+        elif self.at("machine"):
+            child = self.parse_machine(depth + 1)
+            if child is not None:
+                item.children.append(child)
+        else:
+            self.error("expected 'stage' or 'machine' inside a machine")
 
     def parse_flow(self) -> None:
         start = self.expect("flow", "to start a flow")
@@ -651,21 +642,13 @@ class _Parser:
                 if has_control_character(label):
                     self.error("label contains a control character", label_at, code="P5")
         self.expect(";", "after the event")
-        self.events.append(_EventItem(name, self.span(name_at), region, duration, label))
+        # Every duration and label EventDecl refuses was refused above.
+        self.events.append(EventDecl(name, region, duration, label, self.span(name_at)))
 
     def parse_behavior(self) -> None:
         self.expect("behavior", "to start a behavior block")
         self.expect("{", "to open the behavior block")
-        while not self.at("}") and self.pos < self.last:
-            if len(self.diags) >= MAX_DIAGNOSTICS:
-                break
-            before = self.pos
-            try:
-                self.parse_behavior_statement()
-            except _Bail:
-                self.sync()
-            if self.pos == before:
-                self.advance()
+        self.statements(self.parse_behavior_statement, "}")
         self.expect("}", "to close the behavior block")
 
     def parse_group(self, separator: str, what: str) -> tuple[str, ...]:
@@ -719,7 +702,14 @@ class _Parser:
 # -- linking ----------------------------------------------------------------
 
 
+# The code of the finding for a refusal of the model's; any other is a P4.
+_REFUSAL_CODES = {InvalidNameError: "P5", DuplicateEntityError: "P3"}
+
+
 class _Linker:
+    """Builds the model and the declarations from the parse items; refused()
+    turns each refusal of the model's into one finding at its item's span."""
+
     def __init__(self, parser: _Parser, source: str):
         self.p = parser
         self.source = source
@@ -732,6 +722,21 @@ class _Linker:
 
     def note(self, code: str, message: str, span: SourceSpan | None) -> None:
         self.diags.append(make(code, message, span))
+
+    def refused(self, exc: ModelError, span: SourceSpan) -> None:
+        self.note(_REFUSAL_CODES.get(type(exc), "P4"), str(exc), span)
+
+    def new_name(self, what: str, name: str, declared: dict, span: SourceSpan) -> bool:
+        """Whether a region or an event may take `name`: a P3 if it is taken, else validate_name's P5."""
+        if name in declared:
+            self.note("P3", f"{what} {name!r} is already declared", span)
+            return False
+        try:
+            validate_name(name)
+        except ModelError as exc:
+            self.refused(exc, span)
+            return False
+        return True
 
     def link(self) -> ModelDocument:
         for item in self.p.machines:
@@ -756,27 +761,23 @@ class _Linker:
     def link_machine(self, item: _MachineItem, parent: str | None) -> None:
         try:
             machine_id = self.model.add_machine(item.name, parent)
-        except InvalidNameError as exc:
-            self.note("P5", str(exc), item.name_span)
-            return
-        except DuplicateEntityError as exc:
-            self.note("P3", str(exc), item.name_span)
+        except ModelError as exc:
+            self.refused(exc, item.name_span)
             return
         self.spans[machine_id] = item.name_span
         for stage in item.stages:
             try:
-                stage_id = self.model.add_stage(machine_id, stage.kind)
-                self.spans[stage_id] = stage.span
-            except DuplicateEntityError as exc:
-                self.note("P3", str(exc), stage.span)
+                self.spans[self.model.add_stage(machine_id, stage.kind)] = stage.span
+            except ModelError as exc:
+                self.refused(exc, stage.span)
         for child in item.children:
             self.link_machine(child, machine_id)
 
     def resolve(self, segments: list[str], span: SourceSpan) -> tuple[str, str] | None:
         try:
             return self.model.resolve(segments)
-        except UnknownEntityError as exc:
-            self.note("P4", str(exc), span)
+        except ModelError as exc:
+            self.refused(exc, span)
             return None
 
     def link_storage(self, item: _StorageItem) -> None:
@@ -788,14 +789,9 @@ class _Linker:
             self.note("P4", f"storage owner must be a machine, not a {kind}", item.span)
             return
         try:
-            storage_id = self.model.add_storage(machine_id, item.thing)
-            self.spans[storage_id] = item.span
-        except InvalidNameError as exc:
-            self.note("P5", str(exc), item.span)
-        except DuplicateEntityError as exc:
-            self.note("P3", str(exc), item.span)
-        except ModelError as exc:  # the root machine holds no storages
-            self.note("P4", str(exc), item.span)
+            self.spans[self.model.add_storage(machine_id, item.thing)] = item.span
+        except ModelError as exc:  # the root machine holds no storages: a P4
+            self.refused(exc, item.span)
 
     def endpoint(self, segments: list[str], span: SourceSpan, stages_only: bool) -> str | None:
         resolved = self.resolve(segments, span)
@@ -812,32 +808,24 @@ class _Linker:
         if item.thing is not None:
             try:
                 validate_name(item.thing)
-            except InvalidNameError as exc:
-                self.note("P5", str(exc), item.span)
+            except ModelError as exc:
+                self.refused(exc, item.span)
                 return
         src = self.endpoint(item.src, item.span, stages_only=False)
         dst = self.endpoint(item.dst, item.span, stages_only=False)
         if src is None or dst is None:
             return
-        flow_id = self.model._insert_flow(src, dst, item.thing)
-        self.spans[flow_id] = item.span
+        self.spans[self.model._insert_flow(src, dst, item.thing)] = item.span
 
     def link_trigger(self, item: _TriggerItem) -> None:
         src = self.endpoint(item.src, item.span, stages_only=True)
         dst = self.endpoint(item.dst, item.span, stages_only=True)
         if src is None or dst is None:
             return
-        trigger_id = self.model.add_trigger(src, dst)
-        self.spans[trigger_id] = item.span
+        self.spans[self.model.add_trigger(src, dst)] = item.span
 
     def link_region(self, item: _RegionItem) -> None:
-        if item.name in self.regions:
-            self.note("P3", f"region {item.name!r} is already declared", item.name_span)
-            return
-        try:
-            validate_name(item.name)
-        except InvalidNameError as exc:
-            self.note("P5", str(exc), item.name_span)
+        if not self.new_name("region", item.name, self.regions, item.name_span):
             return
         stage_ids: set[str] = set()
         for segments, span in item.members:
@@ -853,19 +841,13 @@ class _Linker:
                 self.note("P4", "a storage cannot be a region member", span)
         self.regions[item.name] = RegionDecl(item.name, tuple(sorted(stage_ids)))
 
-    def link_event(self, item: _EventItem) -> None:
-        if item.name in self.events:
-            self.note("P3", f"event {item.name!r} is already declared", item.name_span)
+    def link_event(self, decl: EventDecl) -> None:
+        if not self.new_name("event", decl.name, self.events, decl.span):
             return
-        try:
-            validate_name(item.name)
-        except InvalidNameError as exc:
-            self.note("P5", str(exc), item.name_span)
+        if decl.region not in self.regions:
+            self.note("P4", f"event {decl.name!r} names unknown region {decl.region!r}", decl.span)
             return
-        if item.region not in self.regions:
-            self.note("P4", f"event {item.name!r} names unknown region {item.region!r}", item.name_span)
-            return
-        self.events[item.name] = EventDecl(item.name, item.region, item.duration, item.label, item.name_span)
+        self.events[decl.name] = decl
 
     def link_behavior(self, decl: BehaviorDecl) -> None:
         names = [n for n in (decl.source, *decl.targets) if n is not None]

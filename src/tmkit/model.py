@@ -9,11 +9,12 @@ Entity ids are deterministic:
   machine id   dotted path from the root, e.g. "mouth.moistening" (root id is "")
   stage id     "<machine id>.<kind>", e.g. "mouth.moistening.process"
   storage id   "<machine id>.<thing>"
-  flow id      "f0001", "f0002", ... in insertion order (triggers: "t0001", ...)
+  flow id      "f0001", "f0002", ... in insertion order (triggers: "t0001", ...);
+               nothing removes an edge, so the next number is the count plus one
 
-Since an id is the entity's path, resolve() looks a whole dotted path up by
-its id, one dict lookup per path; it walks the machine tree only to word the
-error when that fails. Each machine maps the names of its child machines and
+Since an id is the entity's path, resolve() finds an entity only by its id,
+one dict lookup per path; it walks the machine tree only to word the error
+when that lookup fails. Each machine maps the names of its child machines and
 the things of its storages to their ids, so that walk and the duplicate-name
 check are a dict lookup per segment, never a scan of the siblings. Child
 machines and storages of one machine share a namespace.
@@ -52,7 +53,6 @@ KIND_ORDER: tuple[ActionKind, ...] = (
 )
 
 KIND_NAMES: frozenset[str] = frozenset(kind.value for kind in ActionKind)
-_KIND_BY_NAME: dict[str, ActionKind] = {kind.value: kind for kind in ActionKind}
 
 ROOT_ID = ""
 ROOT_NAME = "world"
@@ -161,8 +161,6 @@ class StaticModel:
         self._incident: dict[str, list[FlowEdge | TriggerEdge]] = {}
         self._frozen = False
         self._digest: str | None = None  # see cached_digest
-        self._flow_seq = 0
-        self._trigger_seq = 0
 
     # -- construction -----------------------------------------------------
 
@@ -238,8 +236,7 @@ class StaticModel:
         thing before it resolves the endpoints."""
         self._node(src)
         self._node(dst)
-        self._flow_seq += 1
-        flow_id = f"f{self._flow_seq:04d}"
+        flow_id = f"f{len(self.flows) + 1:04d}"
         self.flows[flow_id] = self._link(FlowEdge(flow_id, src, dst, thing))
         return flow_id
 
@@ -248,8 +245,7 @@ class StaticModel:
         for node in (src, dst):
             if node not in self.stages:
                 raise UnknownEntityError(f"triggers connect stages; unknown stage: {node!r}")
-        self._trigger_seq += 1
-        trigger_id = f"t{self._trigger_seq:04d}"
+        trigger_id = f"t{len(self.triggers) + 1:04d}"
         self.triggers[trigger_id] = self._link(TriggerEdge(trigger_id, src, dst))
         return trigger_id
 
@@ -315,11 +311,11 @@ class StaticModel:
 
         The first segment may be the reserved root name. An entity's id is its
         path from the root, so the joined path is looked up in the stages, the
-        machines and the storages, in that order. The tree is walked only when
-        that finds nothing, to word the error: intermediate segments must name
-        child machines, and the final one a stage kind, a child machine or a
-        storage thing (checked in that order). A segment that is empty or holds
-        a dot is not a name, and its path goes straight to the walk.
+        machines and the storages, in that order, and only that lookup
+        succeeds. A segment that is empty or holds a dot is not a name and
+        fails it. On a failure the tree is walked to word the error: it names
+        the first segment that is not a child machine, or the missing stage
+        when only a final stage kind is left.
         """
         if not segments:
             raise UnknownEntityError("empty path")
@@ -335,30 +331,16 @@ class StaticModel:
             if path in self.storages:
                 return ("storage", path)
         current = self.machines[ROOT_ID]
-        for index, segment in enumerate(names, 1):
-            last = index == len(names)
-            kind = _KIND_BY_NAME.get(segment) if last else None
-            if kind is not None:
-                stage_id = current.stages.get(kind)
-                if stage_id is None:
-                    raise UnknownEntityError(
-                        f"machine {current.name!r} has no {segment} stage"
-                    )
-                return ("stage", stage_id)
+        for index, segment in enumerate(names, 1):  # breaks: all children would have resolved by id
             child = current.children.get(segment)
-            if child is not None:
-                if last:
-                    return ("machine", child)
-                current = self.machines[child]
-                continue
-            if last:
-                storage = current.storages.get(segment)
-                if storage is not None:
-                    return ("storage", storage)
-            raise UnknownEntityError(
-                f"{'.'.join(segments)!r} does not resolve: no {segment!r} in {current.name!r}"
-            )
-        raise UnknownEntityError("empty path")  # pragma: no cover
+            if child is None:
+                break
+            current = self.machines[child]
+        if index == len(names) and segment in KIND_NAMES:
+            raise UnknownEntityError(f"machine {current.name!r} has no {segment} stage")
+        raise UnknownEntityError(
+            f"{'.'.join(segments)!r} does not resolve: no {segment!r} in {current.name!r}"
+        )
 
     def incident_edges(self, node_id: str) -> Sequence[FlowEdge | TriggerEdge]:
         """Flow and trigger edges with `node_id` as an endpoint, in insertion order."""

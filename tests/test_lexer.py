@@ -123,7 +123,7 @@ def parse_spans(text: str) -> list:
         machines += machine.children
     for region in parser.regions:
         spans += [region.name_span, *(span for _, span in region.members)]
-    spans += [event.name_span for event in parser.events]
+    spans += [event.span for event in parser.events]
     result = parse(text, "t.tm")
     spans += [d.span for d in [*result.diagnostics, *tmkit.load(text, "t.tm").diagnostics] if d.span]
     if result.document is not None:

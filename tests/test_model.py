@@ -123,6 +123,32 @@ def test_resolve_paths():
     assert model.resolve(["world", "a"]) == ("machine", "a")
     with pytest.raises(UnknownEntityError):
         model.resolve(["a", "missing"])
+    # A failed lookup names the first segment that is not a child machine, or a missing stage.
+    for segments, message in (
+        (["a", "b", "create"], "machine 'b' has no create stage"),
+        (["a", "process", "b"], "'a.process.b' does not resolve: no 'process' in 'a'"),
+        (["a", "b", "bin", "x"], "'a.b.bin.x' does not resolve: no 'bin' in 'b'"),
+        (["a.b"], "'a.b' does not resolve: no 'a.b' in 'world'"),
+        (["world", "a", ""], "'world.a.' does not resolve: no '' in 'a'"),
+    ):
+        with pytest.raises(UnknownEntityError) as refused:
+            model.resolve(segments)
+        assert str(refused.value) == message
+
+
+def test_edge_ids_count_each_kind_from_one_and_skip_refused_edges():
+    model = build_two_machines()
+    assert model.add_flow("a.transfer", "a.b.transfer") == "f0001"
+    with pytest.raises(UnknownEntityError):
+        model.add_flow("a.transfer", "a.b.nothing")
+    with pytest.raises(InvalidNameError):
+        model.add_flow("a.transfer", "a.b.transfer", "world")
+    assert model.add_trigger("a.b.transfer", "a.b.receive") == "t0001"
+    assert model.add_flow("a.b.transfer", "a.b.receive", "parcel") == "f0002"
+    with pytest.raises(UnknownEntityError):
+        model.add_trigger("a.transfer", "a.b.nothing")
+    assert model.add_trigger("a.transfer", "a.b.receive") == "t0002"
+    assert list(model.flows) == ["f0001", "f0002"] and list(model.triggers) == ["t0001", "t0002"]
 
 
 def test_stages_under_collects_subtree():
