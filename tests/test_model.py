@@ -123,7 +123,12 @@ def test_resolve_paths():
     assert model.resolve(["world", "a"]) == ("machine", "a")
     with pytest.raises(UnknownEntityError):
         model.resolve(["a", "missing"])
-    # A failed lookup names the first segment that is not a child machine, or a missing stage.
+
+
+def test_a_failed_resolution_names_the_first_missing_segment_or_stage():
+    model = build_two_machines()
+    model.add_storage("a.b", "bin")
+    model.freeze()
     for segments, message in (
         (["a", "b", "create"], "machine 'b' has no create stage"),
         (["a", "process", "b"], "'a.process.b' does not resolve: no 'process' in 'a'"),

@@ -565,21 +565,24 @@ def test_race_with_an_unfinished_stream():
     report = race_report(graph, partial, "X", "Y")
     assert report.finish_a == 2 and report.finish_b is None
     assert report.winner == "X" and report.margin is None
-    reversed_report = race_report(graph, partial, "Y", "X")  # only stream b finished
-    assert (reversed_report.finish_a, reversed_report.finish_b) == (None, 2)
-    assert reversed_report.winner == "X" and reversed_report.margin is None
-    assert not reversed_report.tie
 
 
-def test_race_with_no_finished_stream():
+def test_race_with_only_stream_b_or_neither_finished():
     graph = graph_of(
-        [("X", 5), ("Y", 5)],
-        [BehaviorDecl("concurrent", None, ("X", "Y"))],
+        [("X", 2), ("Y", 2), ("Z", 9)],
+        [
+            BehaviorDecl("concurrent", None, ("X", "Y")),
+            BehaviorDecl("seq", "Y", ("Z",)),
+        ],
     )
-    partial = run(graph, FirstDeclared(), horizon=3)  # both still going
-    report = race_report(graph, partial, "X", "Y")
-    assert (report.finish_a, report.finish_b, report.winner, report.margin) == (None, None, None, None)
-    assert not report.tie
+
+    def outcome(report):
+        return report.finish_a, report.finish_b, report.winner, report.margin, report.tie
+
+    only_b = race_report(graph, run(graph, FirstDeclared(), horizon=4), "Y", "X")  # Z still going
+    assert outcome(only_b) == (None, 2, "X", None, False)
+    neither = race_report(graph, run(graph, FirstDeclared(), horizon=1), "X", "Y")  # X and Y still going
+    assert outcome(neither) == (None, None, None, None, False)
 
 
 def test_disaster_race_report(corpus):
