@@ -150,6 +150,44 @@ def test_m2_release_that_goes_nowhere_warns():
     assert "M2" in codes(diags) and not has_errors(diags)
 
 
+def test_m1_counts_a_flow_from_another_machines_storage_as_an_entry():
+    model = pipeline([C], [V, P])
+    sid = model.add_storage("m0", "vat")
+    model.add_flow(sid, "m1.receive")
+    model.add_flow("m1.receive", "m1.process")
+    model.freeze()
+    assert [d.subject for d in check_model(model) if d.code == "M1"] == []
+
+
+def test_m1_does_not_count_a_flow_from_the_machines_own_storage():
+    model = pipeline([V, P])
+    sid = model.add_storage("m0", "vat")
+    model.add_flow(sid, "m0.receive")
+    model.add_flow("m0.receive", "m0.process")
+    model.freeze()
+    assert [d.subject for d in check_model(model) if d.code == "M1"] == ["m0"]
+
+
+def test_m2_warns_on_a_release_whose_only_flow_goes_into_a_storage():
+    model = pipeline([C, R])
+    sid = model.add_storage("m0", "vat")
+    model.add_flow("m0.create", "m0.release")
+    model.add_flow("m0.release", sid)
+    model.freeze()
+    assert [d.subject for d in check_model(model) if d.code == "M2"] == ["m0.release"]
+
+
+def test_m2_counts_a_cross_machine_release_to_transfer_flow_as_a_hand_off():
+    model = pipeline([C, R], [T, V])
+    model.add_flow("m0.create", "m0.release")
+    model.add_flow("m0.release", "m1.transfer")  # F2: only a transfer may cross
+    model.add_flow("m1.transfer", "m1.receive")
+    model.freeze()
+    diags = check_model(model)
+    assert codes(diags) == ["F2"]
+    assert diags[0].message == "flow m0.release -> m1.transfer: release->transfer may not cross machines"
+
+
 def test_r1_empty_region_is_an_error():
     model = pipeline([C])
     model.freeze()
