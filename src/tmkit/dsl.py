@@ -305,50 +305,7 @@ def _number(word: str) -> int | None:
     return value if value <= MAX_NUMBER else None
 
 
-# -- parse tree -------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class _StageItem:
-    kind: ActionKind
-    span: SourceSpan
-
-
-@dataclass(slots=True)
-class _MachineItem:
-    name: str
-    name_span: SourceSpan
-    stages: list[_StageItem] = field(default_factory=list)
-    children: list["_MachineItem"] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class _FlowItem:
-    thing: str | None
-    src: list[str]
-    dst: list[str]
-    span: SourceSpan
-
-
-@dataclass(slots=True)
-class _TriggerItem:
-    src: list[str]
-    dst: list[str]
-    span: SourceSpan
-
-
-@dataclass(slots=True)
-class _StorageItem:
-    thing: str
-    path: list[str]
-    span: SourceSpan
-
-
-@dataclass(slots=True)
-class _RegionItem:
-    name: str
-    name_span: SourceSpan
-    members: list[tuple[list[str], SourceSpan]]
+# -- parser -----------------------------------------------------------------
 
 
 class _Bail(Exception):
@@ -365,11 +322,12 @@ class _Parser:
         self.last = len(words) - 1  # the end-of-input token
         self.pos = 0
         self.diags: list[Diagnostic] = []
-        self.machines: list[_MachineItem] = []
-        self.flows: list[_FlowItem] = []
-        self.triggers: list[_TriggerItem] = []
-        self.storages: list[_StorageItem] = []
-        self.regions: list[_RegionItem] = []
+        # Each statement as the arguments of the _Linker method that links it:
+        self.machines: list[tuple] = []  # (name, name span, [(stage kind, span)], [machine])
+        self.flows: list[tuple] = []  # (thing or None, source path, target path, span)
+        self.triggers: list[tuple] = []  # (source path, target path, span)
+        self.storages: list[tuple] = []  # (thing, owner path, span)
+        self.regions: list[tuple] = []  # (name, name span, [(member path, span), ...])
         self.events: list[EventDecl] = []
         self.behavior: list[BehaviorDecl] = []
 
@@ -526,9 +484,9 @@ class _Parser:
         if word[:1] not in _IDENT_START:
             self.error("expected a declaration")
         if word == "machine":
-            item = self.parse_machine(1)
-            if item is not None:
-                self.machines.append(item)
+            machine = self.parse_machine(1)
+            if machine is not None:
+                self.machines.append(machine)
         elif word == "flow":
             self.parse_flow()
         elif word == "trigger":
@@ -544,31 +502,33 @@ class _Parser:
         else:
             self.error(f"unknown declaration {word!r}")
 
-    def parse_machine(self, depth: int) -> _MachineItem | None:
+    def parse_machine(self, depth: int) -> tuple | None:
+        """A machine as in self.machines, or None for one nested too deep."""
         self.expect("machine", "to start a machine")
         name, name_at = self.parse_name("for the machine")
         if depth > MAX_NESTING:
             self.note("P2", "machine nesting too deep", self.span(name_at))
             self.skip_block()
             return None
-        item = _MachineItem(name, self.span(name_at))
+        stages: list[tuple[ActionKind, SourceSpan]] = []
+        children: list[tuple] = []
         self.expect("{", "to open the machine body")
-        self.statements(lambda: self.parse_machine_statement(item, depth), "}")
+        self.statements(lambda: self.parse_machine_statement(stages, children, depth), "}")
         self.expect("}", "to close the machine body")
-        return item
+        return name, self.span(name_at), stages, children
 
-    def parse_machine_statement(self, item: _MachineItem, depth: int) -> None:
+    def parse_machine_statement(self, stages: list, children: list, depth: int) -> None:
         if self.at("stage"):
             self.advance()
             kind_value, kind_at = self.parse_name("for the stage kind")
             if kind_value not in KIND_NAMES:
                 self.error(f"unknown stage kind {kind_value!r}", kind_at)
             self.expect(";", "after the stage")
-            item.stages.append(_StageItem(ActionKind(kind_value), self.span(kind_at)))
+            stages.append((ActionKind(kind_value), self.span(kind_at)))
         elif self.at("machine"):
             child = self.parse_machine(depth + 1)
             if child is not None:
-                item.children.append(child)
+                children.append(child)
         else:
             self.error("expected 'stage' or 'machine' inside a machine")
 
@@ -582,7 +542,7 @@ class _Parser:
         self.expect("->", "between flow endpoints")
         dst = self.parse_path("for the flow target")
         end = self.expect(";", "after the flow")
-        self.flows.append(_FlowItem(thing, src, dst, self.span(start, end)))
+        self.flows.append((thing, src, dst, self.span(start, end)))
 
     def parse_trigger(self) -> None:
         start = self.expect("trigger", "to start a trigger")
@@ -591,7 +551,7 @@ class _Parser:
         self.expect("->", "between trigger endpoints")
         dst = self.parse_path("for the trigger target")
         end = self.expect(";", "after the trigger")
-        self.triggers.append(_TriggerItem(src, dst, self.span(start, end)))
+        self.triggers.append((src, dst, self.span(start, end)))
 
     def parse_storage(self) -> None:
         start = self.expect("storage", "to start a storage")
@@ -599,7 +559,7 @@ class _Parser:
         self.expect("in", "after the thing")
         path = self.parse_path("for the owning machine")
         end = self.expect(";", "after the storage")
-        self.storages.append(_StorageItem(thing, path, self.span(start, end)))
+        self.storages.append((thing, path, self.span(start, end)))
 
     def parse_region(self) -> None:
         self.expect("region", "to start a region")
@@ -614,7 +574,7 @@ class _Parser:
                 members.append(self.parse_member())
         self.expect("}", "to close the member list")
         self.expect(";", "after the region")
-        self.regions.append(_RegionItem(name, self.span(name_at), members))
+        self.regions.append((name, self.span(name_at), members))
 
     def parse_event(self) -> None:
         self.expect("event", "to start an event")
@@ -707,8 +667,9 @@ _REFUSAL_CODES = {InvalidNameError: "P5", DuplicateEntityError: "P3"}
 
 
 class _Linker:
-    """Builds the model and the declarations from the parse items; refused()
-    turns each refusal of the model's into one finding at its item's span."""
+    """Builds the model and the declarations from the parser's statements,
+    each one the arguments of the link_* method that links it; refused()
+    turns each refusal of the model's into one finding at its statement's span."""
 
     def __init__(self, parser: _Parser, source: str):
         self.p = parser
@@ -739,16 +700,16 @@ class _Linker:
         return True
 
     def link(self) -> ModelDocument:
-        for item in self.p.machines:
-            self.link_machine(item, None)
-        for storage in self.p.storages:
-            self.link_storage(storage)
-        for flow in self.p.flows:
-            self.link_flow(flow)
-        for trigger in self.p.triggers:
-            self.link_trigger(trigger)
-        for region in self.p.regions:
-            self.link_region(region)
+        for args in self.p.machines:
+            self.link_machine(*args, None)
+        for args in self.p.storages:
+            self.link_storage(*args)
+        for args in self.p.flows:
+            self.link_flow(*args)
+        for args in self.p.triggers:
+            self.link_trigger(*args)
+        for args in self.p.regions:
+            self.link_region(*args)
         for event in self.p.events:
             self.link_event(event)
         for decl in self.p.behavior:
@@ -758,20 +719,22 @@ class _Linker:
             self.model, self.regions, self.events, tuple(self.behavior), self.spans, self.source
         )
 
-    def link_machine(self, item: _MachineItem, parent: str | None) -> None:
+    def link_machine(
+        self, name: str, span: SourceSpan, stages: list, children: list, parent: str | None
+    ) -> None:
         try:
-            machine_id = self.model.add_machine(item.name, parent)
+            machine_id = self.model.add_machine(name, parent)
         except ModelError as exc:
-            self.refused(exc, item.name_span)
+            self.refused(exc, span)
             return
-        self.spans[machine_id] = item.name_span
-        for stage in item.stages:
+        self.spans[machine_id] = span
+        for kind, stage_span in stages:
             try:
-                self.spans[self.model.add_stage(machine_id, stage.kind)] = stage.span
+                self.spans[self.model.add_stage(machine_id, kind)] = stage_span
             except ModelError as exc:
-                self.refused(exc, stage.span)
-        for child in item.children:
-            self.link_machine(child, machine_id)
+                self.refused(exc, stage_span)
+        for child in children:
+            self.link_machine(*child, machine_id)
 
     def resolve(self, segments: list[str], span: SourceSpan) -> tuple[str, str] | None:
         try:
@@ -780,18 +743,18 @@ class _Linker:
             self.refused(exc, span)
             return None
 
-    def link_storage(self, item: _StorageItem) -> None:
-        resolved = self.resolve(item.path, item.span)
+    def link_storage(self, thing: str, path: list[str], span: SourceSpan) -> None:
+        resolved = self.resolve(path, span)
         if resolved is None:
             return
         kind, machine_id = resolved
         if kind != "machine":
-            self.note("P4", f"storage owner must be a machine, not a {kind}", item.span)
+            self.note("P4", f"storage owner must be a machine, not a {kind}", span)
             return
         try:
-            self.spans[self.model.add_storage(machine_id, item.thing)] = item.span
+            self.spans[self.model.add_storage(machine_id, thing)] = span
         except ModelError as exc:  # the root machine holds no storages: a P4
-            self.refused(exc, item.span)
+            self.refused(exc, span)
 
     def endpoint(self, segments: list[str], span: SourceSpan, stages_only: bool) -> str | None:
         resolved = self.resolve(segments, span)
@@ -804,31 +767,31 @@ class _Linker:
             return None
         return node_id
 
-    def link_flow(self, item: _FlowItem) -> None:
-        if item.thing is not None:
+    def link_flow(self, thing: str | None, src_path: list, dst_path: list, span: SourceSpan) -> None:
+        if thing is not None:
             try:
-                validate_name(item.thing)
+                validate_name(thing)
             except ModelError as exc:
-                self.refused(exc, item.span)
+                self.refused(exc, span)
                 return
-        src = self.endpoint(item.src, item.span, stages_only=False)
-        dst = self.endpoint(item.dst, item.span, stages_only=False)
+        src = self.endpoint(src_path, span, stages_only=False)
+        dst = self.endpoint(dst_path, span, stages_only=False)
         if src is None or dst is None:
             return
-        self.spans[self.model._insert_flow(src, dst, item.thing)] = item.span
+        self.spans[self.model._insert_flow(src, dst, thing)] = span
 
-    def link_trigger(self, item: _TriggerItem) -> None:
-        src = self.endpoint(item.src, item.span, stages_only=True)
-        dst = self.endpoint(item.dst, item.span, stages_only=True)
+    def link_trigger(self, src_path: list[str], dst_path: list[str], span: SourceSpan) -> None:
+        src = self.endpoint(src_path, span, stages_only=True)
+        dst = self.endpoint(dst_path, span, stages_only=True)
         if src is None or dst is None:
             return
-        self.spans[self.model.add_trigger(src, dst)] = item.span
+        self.spans[self.model.add_trigger(src, dst)] = span
 
-    def link_region(self, item: _RegionItem) -> None:
-        if not self.new_name("region", item.name, self.regions, item.name_span):
+    def link_region(self, name: str, name_span: SourceSpan, members: list) -> None:
+        if not self.new_name("region", name, self.regions, name_span):
             return
         stage_ids: set[str] = set()
-        for segments, span in item.members:
+        for segments, span in members:
             resolved = self.resolve(segments, span)
             if resolved is None:
                 continue
@@ -839,7 +802,7 @@ class _Linker:
                 stage_ids.update(self.model.stages_under(entity_id))
             else:
                 self.note("P4", "a storage cannot be a region member", span)
-        self.regions[item.name] = RegionDecl(item.name, tuple(sorted(stage_ids)))
+        self.regions[name] = RegionDecl(name, tuple(sorted(stage_ids)))
 
     def link_event(self, decl: EventDecl) -> None:
         if not self.new_name("event", decl.name, self.events, decl.span):

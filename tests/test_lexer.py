@@ -115,14 +115,15 @@ def parse_spans(text: str) -> list:
     src = _Text(text, "t.tm")
     parser = _Parser(src, *_lex(src)[:2])
     parser.parse_document()
-    spans = [item.span for item in (*parser.flows, *parser.triggers, *parser.storages, *parser.behavior)]
+    spans = [args[-1] for args in (*parser.flows, *parser.triggers, *parser.storages)]
+    spans += [decl.span for decl in parser.behavior]
     machines = list(parser.machines)
     while machines:
-        machine = machines.pop()
-        spans += [machine.name_span, *(stage.span for stage in machine.stages)]
-        machines += machine.children
-    for region in parser.regions:
-        spans += [region.name_span, *(span for _, span in region.members)]
+        _, name_span, stages, children = machines.pop()
+        spans += [name_span, *(span for _, span in stages)]
+        machines += children
+    for _, name_span, members in parser.regions:
+        spans += [name_span, *(span for _, span in members)]
     spans += [event.span for event in parser.events]
     result = parse(text, "t.tm")
     spans += [d.span for d in [*result.diagnostics, *tmkit.load(text, "t.tm").diagnostics] if d.span]
