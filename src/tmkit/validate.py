@@ -87,57 +87,39 @@ def _flow_components(model: StaticModel) -> dict[str, int]:
 def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -> list[Diagnostic]:
     """Check every flow, trigger, and machine of the model. Pure; deterministic order."""
     found: list[Diagnostic] = []
+    stages = model.stages
 
-    # F1/F2: every stage-to-stage flow edge against the adjacency table.
+    # One pass over the flows. F1/F2: every stage-to-stage edge against the
+    # adjacency table; storage endpoints are exempt from it. M1: the machines
+    # that a flow from another machine's stage or storage enters at a transfer
+    # or receive. M2: the stages with a flow to a transfer, in any machine.
+    inbound: set[str] = set()
+    handed_off: set[str] = set()
     for edge in model.flows.values():
-        if edge.src not in model.stages or edge.dst not in model.stages:
-            continue  # storage endpoints are exempt from the kind table
-        src = model.stages[edge.src]
-        dst = model.stages[edge.dst]
-        same = src.owner == dst.owner
-        if table.allows(src.kind, dst.kind, same):
+        dst = stages.get(edge.dst)
+        if dst is None:
             continue
-        if same:
-            found.append(
-                make(
-                    "F1",
-                    f"flow {edge.src} -> {edge.dst}: {src.kind.value}->"
-                    f"{dst.kind.value} is not allowed within a machine",
-                    subject=edge.id,
-                )
-            )
-        else:
-            found.append(
-                make(
-                    "F2",
-                    f"flow {edge.src} -> {edge.dst}: {src.kind.value}->"
-                    f"{dst.kind.value} may not cross machines",
-                    subject=edge.id,
-                )
-            )
+        if dst.kind in (_K.TRANSFER, _K.RECEIVE) and model.owner_of(edge.src) != dst.owner:
+            inbound.add(dst.owner)
+        src = stages.get(edge.src)
+        if src is None:
+            continue
+        if dst.kind is _K.TRANSFER:
+            handed_off.add(edge.src)
+        same = src.owner == dst.owner
+        if not table.allows(src.kind, dst.kind, same):
+            rule = "is not allowed within a machine" if same else "may not cross machines"
+            message = f"flow {edge.src} -> {edge.dst}: {src.kind.value}->{dst.kind.value} {rule}"
+            found.append(make("F1" if same else "F2", message, subject=edge.id))
 
     # T1: trigger that never leaves one flow series of one machine.
     components = _flow_components(model)
     for trig in model.triggers.values():
-        src_owner = model.stages[trig.src].owner
-        dst_owner = model.stages[trig.dst].owner
-        if src_owner == dst_owner and components[trig.src] == components[trig.dst]:
-            found.append(
-                make(
-                    "T1",
-                    "trigger connects stages already joined by one flow series",
-                    subject=trig.id,
-                )
-            )
+        if stages[trig.src].owner == stages[trig.dst].owner and components[trig.src] == components[trig.dst]:
+            message = "trigger connects stages already joined by one flow series"
+            found.append(make("T1", message, subject=trig.id))
 
     # M1: machines with stages but no way for anything to arrive.
-    inbound: set[str] = set()
-    for edge in model.flows.values():
-        if edge.dst in model.stages:
-            dst = model.stages[edge.dst]
-            if dst.kind in (ActionKind.TRANSFER, ActionKind.RECEIVE):
-                if model.owner_of(edge.src) != dst.owner:
-                    inbound.add(dst.owner)
     for machine in model.machines.values():
         if not machine.stages:
             continue
@@ -146,12 +128,7 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
         found.append(make("M1", "machine is unreachable: nothing is created or received", subject=machine.id))
 
     # M2: release stages that never hand off to a transfer.
-    handed_off: set[str] = set()
-    for edge in model.flows.values():
-        if edge.src in model.stages and edge.dst in model.stages:
-            if model.stages[edge.dst].kind is ActionKind.TRANSFER:
-                handed_off.add(edge.src)
-    for stage in model.stages.values():
+    for stage in stages.values():
         if stage.kind is ActionKind.RELEASE and stage.id not in handed_off:
             found.append(make("M2", "release has no outgoing flow to a transfer", subject=stage.id))
 
