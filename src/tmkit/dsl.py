@@ -136,12 +136,21 @@ def _check_number(what: str, value: object) -> None:
 
 @dataclass(slots=True)
 class ModelDocument:
+    """A model with its declarations. ValueError unless each region and each
+    event is keyed by its own name."""
+
     model: StaticModel
     regions: dict[str, RegionDecl]
     events: dict[str, EventDecl]
     behavior: tuple[BehaviorDecl, ...]
     spans: dict[str, SourceSpan] = field(default_factory=dict)
     source: str = "<input>"
+
+    def __post_init__(self) -> None:
+        for what, decls in (("region", self.regions), ("event", self.events)):
+            for name, decl in decls.items():
+                if decl.name != name:
+                    raise ValueError(f"{what} {decl.name!r} is keyed by another name, {name!r}")
 
 
 @dataclass(slots=True)
@@ -163,8 +172,9 @@ def document_from_parts(
 ) -> ModelDocument:
     """Assemble a document programmatically; raises UnknownEntityError on
     dangling references and ValueError on a region or event name that
-    validate_name refuses. The model and the declarations check every other
-    field where they are made, so the document always has a text form."""
+    validate_name refuses or that differs from its decl's. The model, the
+    declarations and the document check every other field where they are
+    made, so the document always has a text form."""
     region_decls: dict[str, RegionDecl] = {}
     for name, stage_ids in (regions or {}).items():
         _check_name("region", name)
@@ -181,9 +191,10 @@ def document_from_parts(
         for name in decl.targets if decl.source is None else (decl.source, *decl.targets):
             if name not in event_decls:
                 raise UnknownEntityError(f"behavior references unknown event {name!r}")
+    document = ModelDocument(model, region_decls, event_decls, tuple(behavior), {}, source)
     if not model.frozen:
         model.freeze()
-    return ModelDocument(model, region_decls, event_decls, tuple(behavior), {}, source)
+    return document
 
 
 def _check_name(what: str, name: str) -> None:

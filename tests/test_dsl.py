@@ -172,6 +172,19 @@ def test_document_from_parts_refuses_dangling_region_and_event_references():
         tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": tmkit.EventDecl("E", "q")})
 
 
+def test_a_document_keys_each_region_and_event_by_its_own_name():
+    model = tmkit.StaticModel()
+    model.add_stage(model.add_machine("a"), tmkit.ActionKind.CREATE)
+    with pytest.raises(ValueError, match="event 'F' is keyed by another name, 'E'"):
+        tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": tmkit.EventDecl("F", "r")})
+    assert not model.frozen  # a refused document leaves the model as it was
+    with pytest.raises(ValueError, match="region 's' is keyed by another name, 'r'"):
+        tmkit.ModelDocument(model, {"r": tmkit.RegionDecl("s", ("a.create",))}, {}, ())
+    document = tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": tmkit.EventDecl("E", "r")})
+    reparsed = parse(tmkit.format_document(document)).document
+    assert reparsed.events["E"].name == "E" and reparsed.regions["r"].stage_ids == ("a.create",)
+
+
 def test_numbers_above_the_largest_are_p5_at_their_span():
     head = "machine a { stage create; }\nregion r = { a };\nevent e on r;\n"
     for clause, tail in (("event f on r duration ", ";"), ("behavior { repeat e bound ", "; }")):
