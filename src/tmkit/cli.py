@@ -12,9 +12,10 @@ one `load` call (parse, the model rules, the region and behavior rules) and
 refuses a document with error diagnostics; each diagnostic carries the span
 of what it is about.
 
-Exit codes: 0 success, 1 failure (error diagnostics, unusable document, or a
-run that could not be carried out), 2 usage errors. Diagnostics go to stderr;
-requested artifacts go to stdout or to files, written atomically.
+Exit codes: 0 success, 1 failure (error diagnostics, unusable document, a run
+that could not be carried out, or a file that could not be read or written),
+2 usage errors. Diagnostics and errors go to stderr; requested artifacts go to
+stdout or to files, written atomically.
 """
 from __future__ import annotations
 
@@ -71,6 +72,15 @@ def _read(path: str) -> str | None:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
+
+
+def _write(path: str, text: str) -> bool:
+    try:
+        export_mod.write_text_atomic(path, text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_file(path: str) -> Loaded | None:
@@ -164,9 +174,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if last is not None and last.live:
         print(f"live at end: {', '.join(last.live)}")
     if args.trace:
-        export_mod.write_text_atomic(
-            args.trace, export_mod.trace_to_json(trace, loaded.graph, loaded.document.model)
-        )
+        if not _write(args.trace, export_mod.trace_to_json(trace, loaded.graph, loaded.document.model)):
+            return 1
         print(f"trace written: {args.trace}")
     return 0
 
@@ -185,10 +194,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     else:
         graph = loaded.graph if args.behavior and document.events else None
         text = export_mod.export_dot(document, behavior=graph, include_regions=args.regions)
-    if args.output:
-        export_mod.write_text_atomic(args.output, text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+    elif not _write(args.output, text):
+        return 1
     return 0
 
 

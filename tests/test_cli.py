@@ -228,6 +228,23 @@ def test_written_files_get_the_umask_default_mode(corpus_file, tmp_path):
         assert stat.S_IMODE(os.stat(output).st_mode) == 0o644, name
 
 
+def test_a_file_that_cannot_be_written_is_an_error_not_a_traceback(corpus_file, tmp_path, capsys):
+    path = corpus_file("eating")
+    directory = tmp_path / "out"
+    directory.mkdir()
+    assert main(["export", path, "--format", "json", "-o", str(directory)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err.startswith(f"error: cannot write {directory}: ") and streams.err.count("\n") == 1
+    missing = tmp_path / "missing" / "t.json"
+    assert main(["simulate", path, "--trace", str(missing)]) == 1
+    streams = capsys.readouterr()
+    assert "trace written" not in streams.out
+    assert streams.err.startswith(f"error: cannot write {missing}: ") and streams.err.count("\n") == 1
+    # No temporary file is left beside either output.
+    assert sorted(os.listdir(tmp_path)) == ["eating.tm", "out"] and os.listdir(directory) == []
+
+
 def test_unknown_escape_is_reported_at_its_backslash(tmp_path, capsys):
     # The finding's line and column are those of its span's start, the
     # backslash, not of the string's opening quote (column 20).
