@@ -136,8 +136,7 @@ def _check_number(what: str, value: object) -> None:
 
 @dataclass(slots=True)
 class ModelDocument:
-    """A model with its declarations. ValueError unless each region and each
-    event is keyed by its own name."""
+    """ValueError unless each region and event is keyed by its own name, a valid one."""
 
     model: StaticModel
     regions: dict[str, RegionDecl]
@@ -151,6 +150,10 @@ class ModelDocument:
             for name, decl in decls.items():
                 if decl.name != name:
                     raise ValueError(f"{what} {decl.name!r} is keyed by another name, {name!r}")
+                try:
+                    validate_name(name)
+                except InvalidNameError as exc:
+                    raise ValueError(f"{what} name must be a valid name: {exc}") from None
 
 
 @dataclass(slots=True)
@@ -170,21 +173,17 @@ def document_from_parts(
     behavior: tuple[BehaviorDecl, ...] = (),
     source: str = "<built>",
 ) -> ModelDocument:
-    """Assemble a document programmatically; raises UnknownEntityError on
-    dangling references and ValueError on a region or event name that
-    validate_name refuses or that differs from its decl's. The model, the
-    declarations and the document check every other field where they are
-    made, so the document always has a text form."""
+    """Assemble a document programmatically; UnknownEntityError on a dangling
+    reference. The model, the declarations and the document refuse any other
+    fault where they are made (ValueError), so the document has a text form."""
     region_decls: dict[str, RegionDecl] = {}
     for name, stage_ids in (regions or {}).items():
-        _check_name("region", name)
         for stage_id in stage_ids:
             if stage_id not in model.stages:
                 raise UnknownEntityError(f"region {name!r} references unknown stage {stage_id!r}")
         region_decls[name] = RegionDecl(name, tuple(sorted(set(stage_ids))))
     event_decls = dict(events or {})
-    for name, event in event_decls.items():
-        _check_name("event", name)
+    for event in event_decls.values():
         if event.region not in region_decls:
             raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
     for decl in behavior:
@@ -195,13 +194,6 @@ def document_from_parts(
     if not model.frozen:
         model.freeze()
     return document
-
-
-def _check_name(what: str, name: str) -> None:
-    try:
-        validate_name(name)
-    except InvalidNameError as exc:
-        raise ValueError(f"{what} name must be a valid name: {exc}") from None
 
 
 # -- lexer ------------------------------------------------------------------
@@ -514,7 +506,6 @@ class _Parser:
             self.error(f"unknown declaration {word!r}")
 
     def parse_machine(self, depth: int) -> tuple | None:
-        """A machine as in self.machines, or None for one nested too deep."""
         self.expect("machine", "to start a machine")
         name, name_at = self.parse_name("for the machine")
         if depth > MAX_NESTING:

@@ -180,6 +180,8 @@ def test_a_document_keys_each_region_and_event_by_its_own_name():
     assert not model.frozen  # a refused document leaves the model as it was
     with pytest.raises(ValueError, match="region 's' is keyed by another name, 'r'"):
         tmkit.ModelDocument(model, {"r": tmkit.RegionDecl("s", ("a.create",))}, {}, ())
+    with pytest.raises(ValueError, match="region name must be a valid name"):
+        tmkit.ModelDocument(model, {"r.s": tmkit.RegionDecl("r.s", ("a.create",))}, {}, ())
     document = tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": tmkit.EventDecl("E", "r")})
     reparsed = parse(tmkit.format_document(document)).document
     assert reparsed.events["E"].name == "E" and reparsed.regions["r"].stage_ids == ("a.create",)
