@@ -115,9 +115,16 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
     # T1: trigger that never leaves one flow series of one machine.
     components = _flow_components(model)
     for trig in model.triggers.values():
-        if stages[trig.src].owner == stages[trig.dst].owner and components[trig.src] == components[trig.dst]:
-            message = "trigger connects stages already joined by one flow series"
-            found.append(make("T1", message, subject=trig.id))
+        src_owner = model.stages[trig.src].owner
+        dst_owner = model.stages[trig.dst].owner
+        if src_owner == dst_owner and components[trig.src] == components[trig.dst]:
+            found.append(
+                make(
+                    "T1",
+                    "trigger connects stages already joined by one flow series",
+                    subject=trig.id,
+                )
+            )
 
     # M1: machines with stages but no way for anything to arrive.
     for machine in model.machines.values():
@@ -128,7 +135,7 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
         found.append(make("M1", "machine is unreachable: nothing is created or received", subject=machine.id))
 
     # M2: release stages that never hand off to a transfer.
-    for stage in stages.values():
+    for stage in model.stages.values():
         if stage.kind is ActionKind.RELEASE and stage.id not in handed_off:
             found.append(make("M2", "release has no outgoing flow to a transfer", subject=stage.id))
 
