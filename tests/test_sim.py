@@ -432,6 +432,24 @@ def test_step_folded_from_init_is_run(seed, horizon, policy_kind):
     assert_step_folds_to_run(seed, horizon, policy_kind)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from(("first", "random", "script")))
+def test_record_lists_each_tick_archive_in_tick_order(seed, horizon, policy_kind):
+    rng = random.Random(seed)
+    graph = make_random_behavior(rng, endless=rng.random() < 0.3, start_groups=True)
+    policy = {
+        "first": FirstDeclared(),
+        "random": SeededRandom(rng.randrange(2**32)),
+        "script": diverging_script(graph, rng, horizon),
+    }[policy_kind]
+    trace, _ = run_or_error(graph, policy, horizon)
+    if trace is None:
+        return
+    archived_at = {iid: snap.tick for snap in trace.ticks for iid in snap.archived}
+    assert [i.iid for i in trace.record.entries] == [iid for snap in trace.ticks for iid in snap.archived]
+    assert all(i.end == archived_at[i.iid] for i in trace.record.entries)
+
+
 def test_the_fold_meets_every_termination():
     found = [
         assert_step_folds_to_run(seed, 1 + seed % 30, policy_kind)
