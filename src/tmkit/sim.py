@@ -23,12 +23,11 @@ after one dict pop. A tick that archives nothing starts nothing either, so
 run() then hands on the previous live tuple: ticks[i].live may be the very
 tuple object of ticks[i-1].live.
 
-The record is a persistent chain of chunks: extending it adds one chunk in
-front of the old chain and shares the rest, so extending costs what is added,
-not what the record already holds, and histories that branch from one state
-stay independent. step() adds one chunk per tick that archives something;
-run() gathers the whole run's archive in one flat list and adds it as one
-chunk at the end, so a run allocates per archived instance, not per tick. An
+The record is a tuple of archived instances in record order, (end, event,
+generation). step() returns a state with a longer tuple and never changes the
+one it was given, so histories that branch from one state stay independent.
+run() gathers the whole run's archive in one flat list and makes it the record
+at the end, so a run allocates per archived instance, not per tick. An
 EventInstance is a tuple (a NamedTuple whose constructor checks its fields),
 cheaper to build than a frozen dataclass. All iteration is over sorted or
 declared orders, so runs are bit-reproducible.
@@ -63,7 +62,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -112,54 +110,6 @@ class EventInstance(_InstanceFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class RecordStore:
-    """Append-only archive of past instances, ordered by (end, event, generation).
-
-    A persistent chain of chunks: `chunk` holds what one extension archived
-    (one tick's archive under step(), a whole run's under run()), `parent` the
-    record before it, and `size` the number of entries in the whole chain.
-    extended() never copies or mutates the chain it extends, so every earlier
-    record stays valid and two histories that branch from one state share their
-    common past. Equality and hash compare entries, so how the entries are
-    split into chunks is not observable.
-    """
-
-    chunk: tuple[EventInstance, ...] = ()
-    parent: RecordStore | None = None
-    size: int = 0
-
-    def extended(self, instances: list[EventInstance]) -> RecordStore:
-        """This record plus `instances`, which follow it in record order."""
-        if not instances:
-            return self
-        return RecordStore(tuple(instances), self, self.size + len(instances))
-
-    @property
-    def entries(self) -> tuple[EventInstance, ...]:
-        """Every archived instance, oldest chunk first; built on each call."""
-        chunks: list[tuple[EventInstance, ...]] = []
-        node: RecordStore | None = self
-        while node is not None:
-            chunks.append(node.chunk)
-            node = node.parent
-        return tuple(chain.from_iterable(reversed(chunks)))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RecordStore):
-            return NotImplemented
-        return self is other or (self.size == other.size and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"RecordStore({self.entries!r})"
-
-
 @dataclass(frozen=True, slots=True)
 class FirstDeclared:
     def describe(self) -> str:
@@ -191,7 +141,7 @@ class SimState:
 
     tick: int
     live: dict[str, EventInstance]  # event name -> its single live instance
-    record: RecordStore
+    record: tuple[EventInstance, ...]  # archived instances, in record order
     generations: dict[str, int]  # instances ever created, per event
     rng_state: int
     script_pos: int
@@ -204,7 +154,7 @@ class SimState:
     def check_presentism(self) -> None:
         """Live and record partition all instances ever created."""
         live_ids = {inst.iid for inst in self.live.values()}
-        record_ids = {inst.iid for inst in self.record.entries}
+        record_ids = {inst.iid for inst in self.record}
         if live_ids & record_ids:
             raise SimulationError(f"instances both live and recorded: {live_ids & record_ids}")
         if len(live_ids) + len(record_ids) != self.all_instances():
@@ -226,7 +176,7 @@ class SimTrace:
     horizon: int
     ticks: tuple[TickSnapshot, ...]
     termination: str
-    record: RecordStore
+    record: tuple[EventInstance, ...]
 
 
 def _choose(
@@ -289,7 +239,7 @@ def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
         live[name] = EventInstance(
             f"{name}#1", name, 1, start=0, duration=behavior.events[name].duration
         )
-    return SimState(0, live, RecordStore(), generations, rng_state, script_pos, False, tuple(choices))
+    return SimState(0, live, (), generations, rng_state, script_pos, False, tuple(choices))
 
 
 def _tick(
@@ -387,15 +337,12 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
         state.rng_state, state.script_pos, state.terminal_hit,
     )
     durations = behavior._durations
-    kept = state.live
     instances = {
-        event: kept[event]
-        if event in kept and kept[event].iid == iid
-        else EventInstance(iid, event, generation, start, durations[event])
+        event: EventInstance(iid, event, generation, start, durations[event])
         for event, (iid, generation, start) in live.items()
     }
     return SimState(
-        t, instances, state.record.extended(archived), generations, rng_state, script_pos, terminal_hit, choices
+        t, instances, state.record + tuple(archived), generations, rng_state, script_pos, terminal_hit, choices
     )
 
 
@@ -407,7 +354,7 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
     try:
         state = init(behavior, policy)
     except ScriptedExhaustedError:
-        return SimTrace(policy.describe(), trace_seed, horizon, (), "scripted-exhausted", RecordStore())
+        return SimTrace(policy.describe(), trace_seed, horizon, (), "scripted-exhausted", ())
     live = _live_entries(state)
     calendar: dict[int, list[str]] = {}
     for event, (_, _, start) in live.items():
@@ -435,7 +382,7 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
             snapshots.append(TickSnapshot(t, live_ids, (), ()))
     else:
         termination = "horizon" if live else "terminal-reached" if terminal_hit else "deadlock"
-    record = state.record.extended(flat)
+    record = state.record + tuple(flat)
     return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, record)
 
 
@@ -469,7 +416,7 @@ def race_report(behavior: BehaviorGraph, trace: SimTrace, stream_a: str, stream_
 
     final_live = set(trace.ticks[-1].live) if trace.ticks else set()
     last_end: dict[str, int] = {}  # event -> the latest archive tick of its instances
-    for inst in trace.record.entries:
+    for inst in trace.record:
         if inst.end is not None:
             last_end[inst.event] = max(inst.end, last_end.get(inst.event, inst.end))
 

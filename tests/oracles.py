@@ -272,7 +272,7 @@ def presentism_violations(trace: SimTrace) -> list[str]:
     missing = seen - record - final_live
     if missing:
         problems.append(f"instances neither recorded nor live at end: {sorted(missing)}")
-    recorded_ids = {inst.iid for inst in trace.record.entries}
+    recorded_ids = {inst.iid for inst in trace.record}
     if recorded_ids != record:
         problems.append("record store disagrees with snapshot archives")
     return problems

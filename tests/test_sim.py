@@ -33,7 +33,6 @@ from tmkit import (
     step,
 )
 from tmkit.cli import main
-from tmkit.sim import RecordStore
 
 import oracles
 from conftest import make_random_behavior
@@ -103,9 +102,9 @@ def test_ball_run_reaches_terminal(corpus):
         (),
     ]
     assert trace.termination == "terminal-reached"
-    assert [inst.iid for inst in trace.record.entries] == ["Ej#1", "Ej1#1"]
-    assert trace.record.entries[0].end == 2
-    assert trace.record.entries[1].end == 4
+    assert [inst.iid for inst in trace.record] == ["Ej#1", "Ej1#1"]
+    assert trace.record[0].end == 2
+    assert trace.record[1].end == 4
 
 
 # -- repetition ----------------------------------------------------------------
@@ -115,8 +114,8 @@ def test_bounded_self_repeat_drains_to_deadlock():
     graph = graph_of([("A", 1)], [BehaviorDecl("repeat", "A", ("A",), 3)])
     trace = run(graph, FirstDeclared(), horizon=10)
     assert trace.termination == "deadlock"
-    assert [inst.iid for inst in trace.record.entries] == ["A#1", "A#2", "A#3"]
-    assert [inst.end for inst in trace.record.entries] == [1, 2, 3]
+    assert [inst.iid for inst in trace.record] == ["A#1", "A#2", "A#3"]
+    assert [inst.end for inst in trace.record] == [1, 2, 3]
     assert oracles.repetition_violations(trace) == []
 
 
@@ -321,19 +320,18 @@ def test_branches_from_one_state_keep_their_own_records(seed, prefix, length):
     graph = make_random_behavior(rng)
     seeded = SeededRandom(rng.randrange(2**32))
     root = advance(init(graph, seeded), graph, seeded, prefix)
-    before = root.record.entries
-    assert root.record.extended([]) is root.record
+    before = root.record
     # Two histories from one state, choosing differently, stepped in turn.
     branches = {"first": (FirstDeclared(), root), "seeded": (seeded, root)}
     for _ in range(length):
         for key, (policy, state) in branches.items():
             branches[key] = (policy, advance(state, graph, policy, 1))
-    assert root.record.entries == before and len(root.record) == len(before)
+    assert root.record == before and len(root.record) == len(before)
     for policy, state in branches.values():
         alone = advance(advance(init(graph, seeded), graph, seeded, prefix), graph, policy, length)
-        entries = state.record.entries
+        entries = state.record
         assert state.record == alone.record
-        assert [i.iid for i in entries] == [i.iid for i in alone.record.entries]
+        assert [i.iid for i in entries] == [i.iid for i in alone.record]
         assert len(state.record) == len(entries)
         assert list(entries) == sorted(entries, key=lambda i: (i.end, i.event, i.generation))
         assert entries[: len(before)] == before
@@ -351,14 +349,14 @@ def run_by_steps(graph, policy, horizon, state):
         try:
             after = step(state, graph, policy)
         except ScriptedExhaustedError:
-            return ticks, "scripted-exhausted", state.record.entries
+            return ticks, "scripted-exhausted", state.record
         except SimulationError as exc:
             return ticks, repr(exc), None
-        archived = after.record.entries[len(state.record) :]
+        archived = after.record[len(state.record) :]
         ticks.append(TickSnapshot(after.tick, live_ids(after), tuple(i.iid for i in archived), after.choices))
         state = after
     termination = "horizon" if state.live else "terminal-reached" if state.terminal_hit else "deadlock"
-    return ticks, termination, state.record.entries
+    return ticks, termination, state.record
 
 
 def run_or_error(graph, policy, horizon):
@@ -405,7 +403,7 @@ def assert_step_folds_to_run(seed, horizon, policy_kind):
     if trace is None:
         return termination, len(ticks) + 1, False
     assert (TickSnapshot(0, live_ids(state), (), state.choices), *ticks) == trace.ticks
-    assert entries == trace.record.entries
+    assert entries == trace.record
     # A state from mid-run, rebuilt from its fields alone, goes on as run() did.
     cut = rng.randint(0, len(ticks))
     for _ in range(cut):
@@ -413,7 +411,7 @@ def assert_step_folds_to_run(seed, horizon, policy_kind):
     copy = SimState(
         state.tick,
         dict(state.live),
-        RecordStore().extended(list(state.record.entries)),
+        tuple(state.record),
         dict(state.generations),
         state.rng_state,
         state.script_pos,
@@ -422,7 +420,7 @@ def assert_step_folds_to_run(seed, horizon, policy_kind):
     )
     rest, folded, entries = run_by_steps(graph, policy, horizon, copy)
     assert tuple(rest) == trace.ticks[cut + 1 :]
-    assert (folded, entries) == (termination, trace.record.entries)
+    assert (folded, entries) == (termination, trace.record)
     return termination, len(trace.ticks), any(i.start < copy.tick for i in copy.live.values())
 
 
@@ -446,8 +444,8 @@ def test_record_lists_each_tick_archive_in_tick_order(seed, horizon, policy_kind
     if trace is None:
         return
     archived_at = {iid: snap.tick for snap in trace.ticks for iid in snap.archived}
-    assert [i.iid for i in trace.record.entries] == [iid for snap in trace.ticks for iid in snap.archived]
-    assert all(i.end == archived_at[i.iid] for i in trace.record.entries)
+    assert [i.iid for i in trace.record] == [iid for snap in trace.ticks for iid in snap.archived]
+    assert all(i.end == archived_at[i.iid] for i in trace.record)
 
 
 def test_the_fold_meets_every_termination():
@@ -489,16 +487,6 @@ def test_event_instance_is_an_immutable_value():
     assert hash(done) == hash(EventInstance("A#1", "A", 1, 0, 2, 2))
     assert done != live and len({done, live, EventInstance("A#1", "A", 1, 0, 2, 2)}) == 2
     assert repr(done) == "EventInstance(iid='A#1', event='A', generation=1, start=0, duration=2, end=2)"
-
-
-def test_record_chain_compares_hashes_and_frees_without_recursion():
-    done = EventInstance("A#1", "A", 1, start=0, duration=1, end=1)
-    one, other = RecordStore(), RecordStore()
-    for _ in range(100_000):
-        one, other = one.extended([done]), other.extended([done])
-    assert len(one) == 100_000 and one == other and hash(one) == hash(other)
-    assert one != other.extended([done]) and one != other.parent
-    del one, other
 
 
 def test_step_refuses_an_empty_world():
