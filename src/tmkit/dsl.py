@@ -136,7 +136,9 @@ def _check_number(what: str, value: object) -> None:
 
 @dataclass(slots=True)
 class ModelDocument:
-    """ValueError unless each region and event is keyed by its own name, a valid one."""
+    """UnknownEntityError on a region stage, an event region or a behavior event
+    that does not exist; then ValueError unless each region and event is keyed by
+    its own name, a valid one."""
 
     model: StaticModel
     regions: dict[str, RegionDecl]
@@ -146,6 +148,18 @@ class ModelDocument:
     source: str = "<input>"
 
     def __post_init__(self) -> None:
+        stages = self.model.stages
+        for name, region in self.regions.items():
+            for stage_id in region.stage_ids:
+                if stage_id not in stages:
+                    raise UnknownEntityError(f"region {name!r} references unknown stage {stage_id!r}")
+        for event in self.events.values():
+            if event.region not in self.regions:
+                raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
+        for decl in self.behavior:
+            for name in decl.targets if decl.source is None else (decl.source, *decl.targets):
+                if name not in self.events:
+                    raise UnknownEntityError(f"behavior references unknown event {name!r}")
         for what, decls in (("region", self.regions), ("event", self.events)):
             for name, decl in decls.items():
                 if decl.name != name:
@@ -176,21 +190,10 @@ def document_from_parts(
     """Assemble a document programmatically; UnknownEntityError on a dangling
     reference. The model, the declarations and the document refuse any other
     fault where they are made (ValueError), so the document has a text form."""
-    region_decls: dict[str, RegionDecl] = {}
-    for name, stage_ids in (regions or {}).items():
-        for stage_id in stage_ids:
-            if stage_id not in model.stages:
-                raise UnknownEntityError(f"region {name!r} references unknown stage {stage_id!r}")
-        region_decls[name] = RegionDecl(name, tuple(sorted(set(stage_ids))))
-    event_decls = dict(events or {})
-    for event in event_decls.values():
-        if event.region not in region_decls:
-            raise UnknownEntityError(f"event {event.name!r} references unknown region {event.region!r}")
-    for decl in behavior:
-        for name in decl.targets if decl.source is None else (decl.source, *decl.targets):
-            if name not in event_decls:
-                raise UnknownEntityError(f"behavior references unknown event {name!r}")
-    document = ModelDocument(model, region_decls, event_decls, tuple(behavior), {}, source)
+    region_decls = {
+        name: RegionDecl(name, tuple(sorted(set(stage_ids)))) for name, stage_ids in (regions or {}).items()
+    }
+    document = ModelDocument(model, region_decls, dict(events or {}), tuple(behavior), {}, source)
     if not model.frozen:
         model.freeze()
     return document

@@ -157,7 +157,8 @@ def define_event(
     """Carve an event out of the model, with the findings about it: P5 on a
     duration that is not a whole number of ticks from 1 to MAX_NUMBER (the
     bound EventDecl keeps), and the R1/R2/R3 findings of its region. A
-    disconnected region (R2) is only a warning; on an error the event is None."""
+    disconnected region (R2) is only a warning; on an error the event is None.
+    Raises UnknownEntityError on a stage id that the model lacks."""
     if isinstance(duration, bool) or not isinstance(duration, int):
         return None, [make("P5", f"duration must be an integer, got {duration!r}", subject=name)]
     if duration < 1:

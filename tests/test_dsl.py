@@ -172,6 +172,26 @@ def test_document_from_parts_refuses_dangling_region_and_event_references():
         tmkit.document_from_parts(model, {"r": ("a.create",)}, {"E": tmkit.EventDecl("E", "q")})
 
 
+def test_a_document_built_directly_refuses_dangling_references():
+    model = tmkit.StaticModel()
+    model.add_stage(model.add_machine("a"), tmkit.ActionKind.CREATE)
+    model.freeze()
+    region = {"r": tmkit.RegionDecl("r", ("a.create",))}
+    event = {"E": tmkit.EventDecl("E", "r")}
+    with pytest.raises(tmkit.UnknownEntityError, match="region 'r' references unknown stage 'b.create'"):
+        tmkit.ModelDocument(model, {"r": tmkit.RegionDecl("r", ("a.create", "b.create"))}, {}, ())
+    with pytest.raises(tmkit.UnknownEntityError, match="event 'E' references unknown region 'q'"):
+        tmkit.ModelDocument(model, region, {"E": tmkit.EventDecl("E", "q")}, ())
+    for decl in (tmkit.BehaviorDecl("seq", "E", ("F",)), tmkit.BehaviorDecl("choice", None, ("F", "E"))):
+        with pytest.raises(tmkit.UnknownEntityError, match="behavior references unknown event 'F'"):
+            tmkit.ModelDocument(model, region, event, (decl,))
+    # References are checked before names: a mis-keyed event with a dangling region.
+    with pytest.raises(tmkit.UnknownEntityError, match="event 'F' references unknown region 'q'"):
+        tmkit.ModelDocument(model, region, {"E": tmkit.EventDecl("F", "q")}, ())
+    document = tmkit.ModelDocument(model, region, event, (tmkit.BehaviorDecl("repeat", "E", ("E",)),))
+    assert tmkit.eventize(document)[1] is not None
+
+
 def test_a_document_keys_each_region_and_event_by_its_own_name():
     model = tmkit.StaticModel()
     model.add_stage(model.add_machine("a"), tmkit.ActionKind.CREATE)
