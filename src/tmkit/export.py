@@ -15,6 +15,7 @@ behavior included, a second digraph for the event graph follows the first.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -177,7 +178,10 @@ TRACE_SCHEMA: dict = {
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename; never leaves partial output.
-    The file gets the mode a plain open() would give it (0666 less the umask)."""
+    The file gets the mode a plain open() would give it (0666 less the umask).
+    An existing directory is refused (IsADirectoryError) before anything is written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     temp = os.path.join(directory, f".tmkit-{uuid.uuid4().hex}")
     try:

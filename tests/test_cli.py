@@ -245,6 +245,18 @@ def test_a_file_that_cannot_be_written_is_an_error_not_a_traceback(corpus_file, 
     assert sorted(os.listdir(tmp_path)) == ["eating.tm", "out"] and os.listdir(directory) == []
 
 
+def test_writing_to_the_working_directory_touches_nothing_outside_it(corpus_file, tmp_path, monkeypatch, capsys):
+    path = corpus_file("eating")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["export", path, "--format", "json", "-o", "."]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err == "error: cannot write .: [Errno 21] Is a directory: '.'\n"
+    assert sorted(os.listdir(tmp_path)) == ["eating.tm", "work"] and os.listdir(work) == []
+
+
 def test_unknown_escape_is_reported_at_its_backslash(tmp_path, capsys):
     # The finding's line and column are those of its span's start, the
     # backslash, not of the string's opening quote (column 20).
