@@ -378,10 +378,9 @@ def diverging_script(graph, rng, horizon):
     return Scripted(tuple(picks[: rng.randint(0, len(picks))]))
 
 
-def assert_step_folds_to_run(seed, horizon, policy_kind):
-    """Folding step() from init() gives run()'s trace, and so does stepping a
-    copy of a state taken mid-run. Returns the termination, the number of
-    ticks, and whether the copy held an instance started before its tick."""
+def random_case(seed, horizon, policy_kind):
+    """A random graph and a policy of the given kind for it, with the random
+    source that made them."""
     rng = random.Random(seed)
     graph = make_random_behavior(rng, endless=rng.random() < 0.3, start_groups=True)
     policy = {
@@ -389,6 +388,14 @@ def assert_step_folds_to_run(seed, horizon, policy_kind):
         "random": SeededRandom(rng.randrange(2**32)),
         "script": diverging_script(graph, rng, horizon),
     }[policy_kind]
+    return rng, graph, policy
+
+
+def assert_step_folds_to_run(seed, horizon, policy_kind):
+    """Folding step() from init() gives run()'s trace, and so does stepping a
+    copy of a state taken mid-run. Returns the termination, the number of
+    ticks, and whether the copy held an instance started before its tick."""
+    rng, graph, policy = random_case(seed, horizon, policy_kind)
     trace, termination = run_or_error(graph, policy, horizon)
     try:
         state = init(graph, policy)
@@ -433,13 +440,7 @@ def test_step_folded_from_init_is_run(seed, horizon, policy_kind):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from(("first", "random", "script")))
 def test_record_lists_each_tick_archive_in_tick_order(seed, horizon, policy_kind):
-    rng = random.Random(seed)
-    graph = make_random_behavior(rng, endless=rng.random() < 0.3, start_groups=True)
-    policy = {
-        "first": FirstDeclared(),
-        "random": SeededRandom(rng.randrange(2**32)),
-        "script": diverging_script(graph, rng, horizon),
-    }[policy_kind]
+    _, graph, policy = random_case(seed, horizon, policy_kind)
     trace, _ = run_or_error(graph, policy, horizon)
     if trace is None:
         return
