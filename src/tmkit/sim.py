@@ -10,18 +10,19 @@ Lifecycle of an event instance:
   * an instance is also archived early, mid-processing, when a successor
     event's receive erupts: its end is the successor's receive tick (cutoff).
 
-One tick function, _tick, carries these semantics; step() and run() are its
-two drivers. _tick works in place on a live map (event -> iid, generation,
-start), a due-tick calendar (tick -> events that may complete at it; the
-entry of an instance archived early is skipped when its tick comes) and the
-per-event generation counts, and it builds an EventInstance only when it
-archives one. step() is pure: it copies a SimState into those structures,
-makes every live instance a candidate for completion, and wraps the result in
-a new SimState, never mutating its input. run() drives _tick directly, with
-no SimState per tick. A tick for which the calendar holds nothing returns
-after one dict pop. A tick that archives nothing starts nothing either, so
-run() then hands on the previous live tuple: ticks[i].live may be the very
-tuple object of ticks[i-1].live.
+One tick function, _tick, carries these semantics, and one state, SimState,
+is what it advances in place: the live entries (event -> the fields of its
+live instance), a due-tick calendar (tick -> events that may complete at it;
+the entry of an instance archived early is skipped when its tick comes), the
+per-event generation counts, the policy's rng state and script position, and
+the terminal flag. _tick builds an EventInstance only when it archives one;
+state.live builds the live ones on read. init() returns such a state. step()
+is pure: it advances a copy, with its own dicts and calendar lists, and never
+mutates its input. run() advances the state init() made, with no new state
+per tick. A tick for which the calendar holds nothing costs one dict pop. A
+tick that archives nothing starts nothing either, so run() then hands on the
+previous live tuple: ticks[i].live may be the very tuple object of
+ticks[i-1].live.
 
 The record is a tuple of archived instances in record order, (end, event,
 generation). step() returns a state with a longer tuple and never changes the
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -137,10 +138,12 @@ ChoicePolicy = FirstDeclared | SeededRandom | Scripted
 
 @dataclass(slots=True)
 class SimState:
-    """One instant of a run. Treated as immutable: step() returns a new state."""
+    """One instant of a run, the state that _tick advances in place. step()
+    advances a copy; run() advances the one init() made."""
 
     tick: int
-    live: dict[str, EventInstance]  # event name -> its single live instance
+    entries: dict[str, tuple[str, str, int, int, int]]  # event -> its live instance: EventInstance's fields but end
+    calendar: dict[int, list[str]]  # tick -> events that may complete at it
     record: tuple[EventInstance, ...]  # archived instances, in record order
     generations: dict[str, int]  # instances ever created, per event
     rng_state: int
@@ -148,17 +151,10 @@ class SimState:
     terminal_hit: bool
     choices: tuple[tuple[str, str], ...]  # (group id, chosen) taken this tick
 
-    def all_instances(self) -> int:
-        return sum(self.generations.values())
-
-    def check_presentism(self) -> None:
-        """Live and record partition all instances ever created."""
-        live_ids = {inst.iid for inst in self.live.values()}
-        record_ids = {inst.iid for inst in self.record}
-        if live_ids & record_ids:
-            raise SimulationError(f"instances both live and recorded: {live_ids & record_ids}")
-        if len(live_ids) + len(record_ids) != self.all_instances():
-            raise SimulationError("live and record do not cover all instances")
+    @property
+    def live(self) -> dict[str, EventInstance]:
+        """Event name -> its single live instance, built on read."""
+        return {event: EventInstance(*entry) for event, entry in self.entries.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,13 +199,16 @@ def _choose(
     return chosen, rng_state, script_pos + 1
 
 
-def _archived(event: str, entry: tuple[str, int, int], duration: int, end: int) -> EventInstance:
-    iid, generation, start = entry
-    return EventInstance(iid, event, generation, start, duration, end)
-
-
 _EVENT = attrgetter("event")
 _IID = attrgetter("iid")
+
+
+def _start(state: SimState, event: str, duration: int) -> None:
+    """Make the next generation of `event` live at state.tick."""
+    generation = state.generations.get(event, 0) + 1
+    state.generations[event] = generation
+    state.entries[event] = (f"{event}#{generation}", event, generation, state.tick, duration)
+    state.calendar.setdefault(state.tick + duration, []).append(event)
 
 
 def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
@@ -230,51 +229,37 @@ def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
             to_start.extend(group.members)
     to_start.extend(sorted(name for name in behavior.initial if name not in grouped))
 
-    live: dict[str, EventInstance] = {}
-    generations: dict[str, int] = {}
+    state = SimState(0, {}, {}, (), {}, rng_state, script_pos, False, tuple(choices))
     for name in to_start:
-        if name in live:
-            continue
-        generations[name] = 1
-        live[name] = EventInstance(
-            f"{name}#1", name, 1, start=0, duration=behavior.events[name].duration
-        )
-    return SimState(0, live, (), generations, rng_state, script_pos, False, tuple(choices))
+        if name not in state.entries:
+            _start(state, name, behavior._durations[name])
+    return state
 
 
-def _tick(
-    t: int,
-    live: dict[str, tuple[str, int, int]],
-    calendar: dict[int, list[str]],
-    generations: dict[str, int],
-    behavior: BehaviorGraph,
-    policy: ChoicePolicy,
-    rng_state: int,
-    script_pos: int,
-    terminal_hit: bool,
-) -> tuple[list[EventInstance], tuple[tuple[str, str], ...], int, int, bool]:
-    """Advance to tick t in place: complete, fire successors, cut off, archive.
-
-    `live` maps each event to its live instance as (iid, generation, start),
-    and `calendar` maps a tick to the events that may complete at it. An entry
-    whose instance has left `live`, or has not run its duration, is skipped.
-    Returns the instances archived at t, in record order, the choices taken,
-    and the new rng state, script position and terminal flag. Raises what the
-    policy raises, with `live`, `calendar` and `generations` part-changed."""
-    due = calendar.pop(t, None)
+def _tick(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> list[EventInstance]:
+    """Advance `state` one tick in place: complete, fire successors, cut off,
+    archive. Returns the instances archived, in record order; adding them to
+    the record is the caller's job. A calendar entry whose instance has left
+    `state.entries`, or has not run its duration, is skipped. Raises what the
+    policy raises, with `state` part-changed."""
+    t = state.tick = state.tick + 1
+    due = state.calendar.pop(t, None)
     if due is None:
-        return [], (), rng_state, script_pos, terminal_hit
-    durations = behavior._durations
-    completed = [event for event in due if event in live and t - live[event][2] >= durations[event]]
+        state.choices = ()
+        return []
+    live = state.entries
+    completed = [event for event in due if event in live and t - live[event][3] >= live[event][4]]
     if not completed:
-        return [], (), rng_state, script_pos, terminal_hit
+        state.choices = ()
+        return completed
     completed.sort()
-    archived = [_archived(event, live.pop(event), durations[event], t) for event in completed]
-    if not terminal_hit:
-        terminal_hit = not behavior.terminal.isdisjoint(completed)
+    archived = [EventInstance(*live.pop(event), t) for event in completed]
+    terminal_hit = state.terminal_hit = state.terminal_hit or not behavior.terminal.isdisjoint(completed)
 
     # Gather instantiation requests in deterministic order.
     actions = behavior._actions
+    generations = state.generations
+    rng_state, script_pos = state.rng_state, state.script_pos
     choices: list[tuple[str, str]] = []
     requests: list[tuple[str, bool]] = []  # (event, via repeat)
     for event in completed:
@@ -291,59 +276,46 @@ def _tick(
                 continue  # race resolved: a terminal event has completed
             else:
                 requests.append((target, True))
+    state.rng_state, state.script_pos, state.choices = rng_state, script_pos, tuple(choices)
 
+    durations = behavior._durations
     predecessors = behavior._predecessors
     for target, via_repeat in requests:
         previous = live.get(target)
         if previous is not None:
-            if previous[2] == t or not via_repeat:
+            if previous[3] == t or not via_repeat:
                 continue  # started this tick, or already live: one instance per event
             # Repeat replaces: archive the previous generation at the new receive.
             del live[target]
-            archived.append(_archived(target, previous, durations[target], t))
-        generation = generations.get(target, 0) + 1
-        generations[target] = generation
-        live[target] = (f"{target}#{generation}", generation, t)
-        calendar.setdefault(t + durations[target], []).append(target)
+            archived.append(EventInstance(*previous, t))
+        _start(state, target, durations[target])
         # Cutoff: the new receive archives still-processing predecessors.
         for pred in predecessors.get(target, ()):
             old = live.get(pred)
-            if old is not None and old[2] < t:
+            if old is not None and old[3] < t:
                 del live[pred]
-                archived.append(_archived(pred, old, durations[pred], t))
+                archived.append(EventInstance(*old, t))
 
     archived.sort(key=_EVENT)  # an event is archived at most once per tick
-    return archived, tuple(choices), rng_state, script_pos, terminal_hit
+    return archived
 
 
-def _live_entries(state: SimState) -> dict[str, tuple[str, int, int]]:
-    return {event: (inst.iid, inst.generation, inst.start) for event, inst in state.live.items()}
-
-
-def _live_ids(live: dict[str, tuple[str, int, int]]) -> tuple[str, ...]:
-    return tuple([live[event][0] for event in sorted(live)])
+def _live_ids(entries: dict[str, tuple[str, str, int, int, int]]) -> tuple[str, ...]:
+    return tuple([entries[event][0] for event in sorted(entries)])
 
 
 def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
     """Advance one tick: complete, fire successors, cut off, archive."""
-    if not state.live:
+    if not state.entries:
         raise SimulationError("nothing is live; the run has ended")
-    t = state.tick + 1
-    live = _live_entries(state)
-    generations = dict(state.generations)
-    # Every live instance is a candidate: _tick completes those that are due.
-    archived, choices, rng_state, script_pos, terminal_hit = _tick(
-        t, live, {t: list(live)}, generations, behavior, policy,
-        state.rng_state, state.script_pos, state.terminal_hit,
+    after = replace(
+        state,
+        entries=dict(state.entries),
+        calendar={tick: list(due) for tick, due in state.calendar.items()},
+        generations=dict(state.generations),
     )
-    durations = behavior._durations
-    instances = {
-        event: EventInstance(iid, event, generation, start, durations[event])
-        for event, (iid, generation, start) in live.items()
-    }
-    return SimState(
-        t, instances, state.record + tuple(archived), generations, rng_state, script_pos, terminal_hit, choices
-    )
+    after.record += tuple(_tick(after, behavior, policy))
+    return after
 
 
 def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int | None = None) -> SimTrace:
@@ -355,35 +327,25 @@ def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int |
         state = init(behavior, policy)
     except ScriptedExhaustedError:
         return SimTrace(policy.describe(), trace_seed, horizon, (), "scripted-exhausted", ())
-    live = _live_entries(state)
-    calendar: dict[int, list[str]] = {}
-    for event, (_, _, start) in live.items():
-        calendar.setdefault(start + behavior._durations[event], []).append(event)
-    generations = state.generations
-    rng_state, script_pos, terminal_hit = state.rng_state, state.script_pos, state.terminal_hit
+    live = state.entries
     live_ids = _live_ids(live)
     snapshots = [TickSnapshot(0, live_ids, (), state.choices)]
     flat: list[EventInstance] = []  # every tick's archive, in record order
-    t = 0
-    while live and t < horizon:
-        t += 1
+    while live and state.tick < horizon:
         try:
-            archived, choices, rng_state, script_pos, terminal_hit = _tick(
-                t, live, calendar, generations, behavior, policy, rng_state, script_pos, terminal_hit
-            )
+            archived = _tick(state, behavior, policy)
         except ScriptedExhaustedError:
             termination = "scripted-exhausted"
             break
         if archived:
             flat += archived
             live_ids = _live_ids(live)
-            snapshots.append(TickSnapshot(t, live_ids, tuple(map(_IID, archived)), choices))
+            snapshots.append(TickSnapshot(state.tick, live_ids, tuple(map(_IID, archived)), state.choices))
         else:  # nothing completed, so nothing started: the live set is the same
-            snapshots.append(TickSnapshot(t, live_ids, (), ()))
+            snapshots.append(TickSnapshot(state.tick, live_ids, (), ()))
     else:
-        termination = "horizon" if live else "terminal-reached" if terminal_hit else "deadlock"
-    record = state.record + tuple(flat)
-    return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, record)
+        termination = "horizon" if live else "terminal-reached" if state.terminal_hit else "deadlock"
+    return SimTrace(policy.describe(), trace_seed, horizon, tuple(snapshots), termination, tuple(flat))
 
 
 @dataclass(frozen=True, slots=True)

@@ -278,6 +278,18 @@ def presentism_violations(trace: SimTrace) -> list[str]:
     return problems
 
 
+def state_presentism_violations(state) -> list[str]:
+    """A SimState's live instances and its record partition every instance
+    it ever created, as counted by its generations."""
+    live = {inst.iid for inst in state.live.values()}
+    recorded = {inst.iid for inst in state.record}
+    problems = [f"{iid}: both live and recorded" for iid in sorted(live & recorded)]
+    created = sum(state.generations.values())
+    if len(live | recorded) != created:
+        problems.append(f"{len(live | recorded)} instances live or recorded, {created} created")
+    return problems
+
+
 def cutoff_violations(graph: BehaviorGraph, trace: SimTrace) -> list[str]:
     """Every started instance must outlive no predecessor instance that began
     earlier: the newcomer's arrival archives stragglers at once."""

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,19 @@ def test_step_is_pure():
     assert one == two
     assert state.tick == frozen_tick and state.live == frozen_live
     assert len(state.record) == 0
+    # B starts at tick 1 and is due at tick 3, where C already is: the copy a
+    # step advances must not share the input's calendar lists, nor its dicts.
+    graph = graph_of([("A", 1), ("B", 2), ("C", 3)], [BehaviorDecl("seq", "A", ("B",))])
+    state = init(graph, FirstDeclared())
+    frozen = deepcopy(state)
+    assert state.calendar == {1: ["A"], 3: ["C"]}
+    one = step(state, graph, FirstDeclared())
+    two = step(state, graph, FirstDeclared())
+    assert one == two and one.calendar == {3: ["C", "B"]}
+    assert state == frozen
+    assert (state.calendar, state.entries, state.generations, state.record) == (
+        frozen.calendar, frozen.entries, frozen.generations, frozen.record
+    )
 
 
 def advance(state, graph, policy, ticks):
@@ -417,7 +432,8 @@ def assert_step_folds_to_run(seed, horizon, policy_kind):
         state = step(state, graph, policy)
     copy = SimState(
         state.tick,
-        dict(state.live),
+        dict(state.entries),
+        {tick: list(due) for tick, due in state.calendar.items()},
         tuple(state.record),
         dict(state.generations),
         state.rng_state,
@@ -509,10 +525,20 @@ def test_state_presentism_self_check():
     graph = graph_of([("A", 1), ("B", 1)], [BehaviorDecl("seq", "A", ("B",))])
     state = init(graph, FirstDeclared())
     while state.live:
-        state.check_presentism()
+        assert oracles.state_presentism_violations(state) == []
         state = step(state, graph, FirstDeclared())
-    state.check_presentism()
+    assert oracles.state_presentism_violations(state) == []
     assert len(state.record) == 2
+
+
+def test_state_presentism_oracle_rejects_a_broken_state():
+    graph = graph_of([("A", 1), ("B", 1)], [BehaviorDecl("seq", "A", ("B",))])
+    state = step(init(graph, FirstDeclared()), graph, FirstDeclared())
+    (archived,) = state.record
+    both = replace(state, record=(archived, archived._replace(iid="B#1", event="B")))
+    assert oracles.state_presentism_violations(both) == ["B#1: both live and recorded"]
+    lost = replace(state, record=())
+    assert oracles.state_presentism_violations(lost) == ["1 instances live or recorded, 2 created"]
 
 
 # -- races ---------------------------------------------------------------------
