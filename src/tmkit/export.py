@@ -22,7 +22,7 @@ import os
 import uuid
 from typing import Iterable, Sequence
 
-from tmkit.dsl import BehaviorDecl, EventDecl, ModelDocument, document_from_parts
+from tmkit.dsl import MAX_NUMBER, BehaviorDecl, EventDecl, ModelDocument, document_from_parts
 from tmkit.events import BehaviorGraph
 from tmkit.model import ActionKind, ROOT_ID, StaticModel
 from tmkit.sim import SimTrace, behavior_digest
@@ -115,7 +115,7 @@ MODEL_SCHEMA: dict = {
                 "required": ["region", "duration", "label"],
                 "properties": {
                     "region": {"type": "string"},
-                    "duration": {"type": "integer", "minimum": 1},
+                    "duration": {"type": "integer", "minimum": 1, "maximum": MAX_NUMBER},
                     "label": {"type": ["string", "null"]},
                 },
             },
@@ -129,7 +129,7 @@ MODEL_SCHEMA: dict = {
                     "kind": {"enum": ["seq", "choice", "concurrent", "repeat"]},
                     "source": {"type": ["string", "null"]},
                     "targets": {"type": "array", "items": {"type": "string"}},
-                    "bound": {"type": ["integer", "null"]},
+                    "bound": {"type": ["integer", "null"], "minimum": 1, "maximum": MAX_NUMBER},
                 },
             },
         },

@@ -35,7 +35,7 @@ from tmkit import (
     trace_to_json,
     write_text_atomic,
 )
-from tmkit.dsl import EventDecl
+from tmkit.dsl import MAX_NUMBER, EventDecl
 from tmkit.model import InvalidNameError, has_control_character, validate_name
 
 import oracles
@@ -261,6 +261,7 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
         (("behavior", -1, "bound"), 1.5, "bound must be an integer"),
         (("behavior", -1, "bound"), False, "bound must be an integer"),
         (("behavior", -1, "bound"), 0, "bound must be >= 1"),
+        (("behavior", -1, "bound"), 2**63, "bound must be <= 9223372036854775807"),
         (("behavior", 0, "bound"), 2, "only a repeat may have a bound"),
         (("behavior", 0, "targets"), [], "must have a source and exactly one target"),
         (("behavior", 0, "targets"), ["E3", "E4"], "must have a source and exactly one target"),
@@ -279,6 +280,22 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
         parent[key] = value
         with pytest.raises(ExportError, match=message):
             import_json(json.dumps(payload))
+    # The schema states the range import_json enforces: 1 to MAX_NUMBER.
+    for *parents, key in (("events", event, "duration"), ("behavior", -1, "bound")):
+        for value in (0, MAX_NUMBER, MAX_NUMBER + 1):
+            payload = json.loads(text)
+            parent = payload
+            for part in parents:
+                parent = parent[part]
+            parent[key] = value
+            if value == MAX_NUMBER:
+                jsonschema.validate(payload, tmkit.MODEL_SCHEMA)
+                import_json(json.dumps(payload))
+                continue
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(payload, tmkit.MODEL_SCHEMA)
+            with pytest.raises(ExportError):
+                import_json(json.dumps(payload))
     # The root machine holds no stages and no storages.
     for table, entry in (
         ("stages", {"id": ".create", "kind": "create", "owner": ""}),
