@@ -36,11 +36,21 @@ class SourceSpan:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
+    """A finding; KeyError unless its code is in the catalogue, whose entry
+    gives its severity."""
+
     code: str
-    severity: Severity
     message: str
     span: SourceSpan | None = None
     subject: str | None = None  # entity id the finding is about, when known
+
+    def __post_init__(self) -> None:
+        if self.code not in RULES:
+            raise KeyError(f"unknown diagnostic code {self.code!r}")
+
+    @property
+    def severity(self) -> Severity:
+        return RULES[self.code].severity
 
     @property
     def is_error(self) -> bool:
@@ -77,11 +87,6 @@ CATALOGUE: tuple[RuleInfo, ...] = (
 )
 
 RULES: dict[str, RuleInfo] = {info.code: info for info in CATALOGUE}
-
-
-def make(code: str, message: str, span: SourceSpan | None = None, subject: str | None = None) -> Diagnostic:
-    """Build a Diagnostic with the catalogue severity for `code`."""
-    return Diagnostic(code, RULES[code].severity, message, span, subject)
 
 
 def has_errors(diagnostics: list[Diagnostic] | tuple[Diagnostic, ...]) -> bool:

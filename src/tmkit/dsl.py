@@ -49,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
-from tmkit.diagnostics import Diagnostic, SourceSpan, has_errors, make
+from tmkit.diagnostics import Diagnostic, SourceSpan, has_errors
 from tmkit.model import (
     ActionKind,
     DuplicateEntityError,
@@ -145,7 +145,6 @@ class ModelDocument:
     events: dict[str, EventDecl]
     behavior: tuple[BehaviorDecl, ...]
     spans: dict[str, SourceSpan] = field(default_factory=dict)
-    source: str = "<input>"
 
     def __post_init__(self) -> None:
         stages = self.model.stages
@@ -185,7 +184,6 @@ def document_from_parts(
     regions: dict[str, tuple[str, ...]] | None = None,
     events: dict[str, EventDecl] | None = None,
     behavior: tuple[BehaviorDecl, ...] = (),
-    source: str = "<built>",
 ) -> ModelDocument:
     """Assemble a document programmatically; UnknownEntityError on a dangling
     reference. The model, the declarations and the document refuse any other
@@ -193,7 +191,7 @@ def document_from_parts(
     region_decls = {
         name: RegionDecl(name, tuple(sorted(set(stage_ids)))) for name, stage_ids in (regions or {}).items()
     }
-    document = ModelDocument(model, region_decls, dict(events or {}), tuple(behavior), {}, source)
+    document = ModelDocument(model, region_decls, dict(events or {}), tuple(behavior))
     if not model.frozen:
         model.freeze()
     return document
@@ -268,7 +266,7 @@ def _lex_irregular(
 
     def err(message: str, begin: int, end: int) -> None:
         if len(diags) < MAX_DIAGNOSTICS:
-            diags.append(make("P1", message, src.span(begin, end)))
+            diags.append(Diagnostic("P1", message, src.span(begin, end)))
 
     if text[start] != '"':
         err(f"unexpected character {text[start]!r}", start, start + 1)
@@ -388,7 +386,7 @@ class _Parser:
 
     def note(self, code: str, message: str, span: SourceSpan | None) -> None:
         if len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(make(code, message, span))
+            self.diags.append(Diagnostic(code, message, span))
 
     def expect(self, word: str, what: str) -> int:
         if self.words[self.pos] != word and self.peek() != word:
@@ -676,9 +674,8 @@ class _Linker:
     each one the arguments of the link_* method that links it; refused()
     turns each refusal of the model's into one finding at its statement's span."""
 
-    def __init__(self, parser: _Parser, source: str):
+    def __init__(self, parser: _Parser):
         self.p = parser
-        self.source = source
         self.model = StaticModel()
         self.spans: dict[str, SourceSpan] = {}
         self.diags: list[Diagnostic] = []
@@ -687,7 +684,7 @@ class _Linker:
         self.behavior: list[BehaviorDecl] = []
 
     def note(self, code: str, message: str, span: SourceSpan | None) -> None:
-        self.diags.append(make(code, message, span))
+        self.diags.append(Diagnostic(code, message, span))
 
     def refused(self, exc: ModelError, span: SourceSpan) -> None:
         self.note(_REFUSAL_CODES.get(type(exc), "P4"), str(exc), span)
@@ -720,9 +717,7 @@ class _Linker:
         for decl in self.p.behavior:
             self.link_behavior(decl)
         self.model.freeze()
-        return ModelDocument(
-            self.model, self.regions, self.events, tuple(self.behavior), self.spans, self.source
-        )
+        return ModelDocument(self.model, self.regions, self.events, tuple(self.behavior), self.spans)
 
     def link_machine(
         self, name: str, span: SourceSpan, stages: list, children: list, parent: str | None
@@ -835,7 +830,7 @@ def parse(text: str, source: str = "<input>") -> ParseResult:
     parser = _Parser(src, words, starts)
     parser.parse_document()
     diagnostics.extend(parser.diags)
-    linker = _Linker(parser, source)
+    linker = _Linker(parser)
     document = linker.link()
     diagnostics.extend(linker.diags)
     diagnostics.sort(key=lambda d: (d.span.start if d.span else 1 << 60, d.code, d.message))

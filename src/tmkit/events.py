@@ -21,11 +21,13 @@ declaration. `build_from_document` raises ValueError for the first error.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from tmkit.diagnostics import Diagnostic, has_errors, make
+from tmkit.diagnostics import Diagnostic, has_errors
 from tmkit.dsl import MAX_NUMBER, BehaviorDecl, ModelDocument
 from tmkit.model import Region, StaticModel
 from tmkit.validate import check_region
@@ -87,7 +89,7 @@ class BehaviorGraph:
     _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _durations: dict[str, int] = field(init=False, repr=False, compare=False)
     _actions: dict[str, tuple[_Action, ...]] = field(init=False, repr=False, compare=False)
-    _digest: str | None = field(init=False, default=None, repr=False, compare=False)  # see cached_digest
+    _digest: str | None = field(init=False, default=None, repr=False, compare=False)  # see digest
 
     def __post_init__(self) -> None:
         out: dict[str, list[BehaviorEdge]] = {}
@@ -115,12 +117,28 @@ class BehaviorGraph:
         self.initial = frozenset(name for name in self.events if name not in preds)
         self.terminal = frozenset(name for name in self.events if name not in out)
 
-    def cached_digest(self, compute: Callable[[BehaviorGraph], str]) -> str:
-        """The graph's content digest, compute(self), computed on the first
-        call and kept: like the indexes above, it is taken once from fields
-        that are not changed after construction."""
+    def digest(self) -> str:
+        """The graph's content digest (events, regions, edges), computed on
+        the first call and kept: like the indexes above, it is taken once
+        from fields that are not changed after construction."""
         if self._digest is None:
-            self._digest = compute(self)
+            payload = {
+                "events": [
+                    {
+                        "name": name,
+                        "duration": self.events[name].duration,
+                        "label": self.events[name].label,
+                        "stages": sorted(self.events[name].region.stages),
+                    }
+                    for name in sorted(self.events)
+                ],
+                "edges": [
+                    {"source": e.source, "target": e.target, "kind": e.kind.value, "group": e.group, "bound": e.bound}
+                    for e in self.edges
+                ],
+            }
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            self._digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         return self._digest
 
     def out_edges(self, event: str) -> tuple[BehaviorEdge, ...]:
@@ -160,11 +178,11 @@ def define_event(
     disconnected region (R2) is only a warning; on an error the event is None.
     Raises UnknownEntityError on a stage id that the model lacks."""
     if isinstance(duration, bool) or not isinstance(duration, int):
-        return None, [make("P5", f"duration must be an integer, got {duration!r}", subject=name)]
+        return None, [Diagnostic("P5", f"duration must be an integer, got {duration!r}", subject=name)]
     if duration < 1:
-        return None, [make("P5", f"duration must be >= 1, got {duration}", subject=name)]
+        return None, [Diagnostic("P5", f"duration must be >= 1, got {duration}", subject=name)]
     if duration > MAX_NUMBER:
-        return None, [make("P5", f"duration must be <= {MAX_NUMBER}, got {duration}", subject=name)]
+        return None, [Diagnostic("P5", f"duration must be <= {MAX_NUMBER}, got {duration}", subject=name)]
     members = frozenset(stage_ids)
     region = model.subdiagram(members) if members else None
     findings = check_region(model, members, name, region)
@@ -186,7 +204,7 @@ def build_behavior(
     for decl in decls:
         for name in decl.targets if decl.source is None else (decl.source, *decl.targets):
             if name not in events:
-                return None, [make("B1", f"behavior references unknown event {name!r}", decl.span)]
+                return None, [Diagnostic("B1", f"behavior references unknown event {name!r}", decl.span)]
         if decl.kind == "seq":
             edges.append(BehaviorEdge(decl.source, decl.targets[0], BehaviorEdgeKind.SEQUENCE))
         elif decl.kind == "repeat":
@@ -206,7 +224,7 @@ def build_behavior(
     if cycle is not None:
         target, decl = cycle
         message = f"cycle through {target!r} has no repeat edge; annotate it with 'repeat'"
-        return None, [make("B1", message, decl.span)]
+        return None, [Diagnostic("B1", message, decl.span)]
     return BehaviorGraph(dict(events), tuple(edges), tuple(groups)), []
 
 

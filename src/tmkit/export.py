@@ -264,37 +264,8 @@ def model_to_json(
 
 
 def model_digest(model: StaticModel) -> str:
-    """Content digest over the structure only. Flow and trigger ids reflect
-    declaration order, so they are left out: two models that draw the same
-    diagram hash alike no matter how their sources were arranged. A frozen
-    model keeps its digest after the first call."""
-    return model.cached_digest(_structure_digest)
-
-
-def _structure_digest(model: StaticModel) -> str:
-    payload = {
-        "machines": [
-            {
-                "id": machine.id,
-                "name": machine.name,
-                "parent": machine.parent,
-                "children": sorted(machine.children.values()),
-                "stages": sorted(machine.stages.values()),
-                "storages": sorted(machine.storages.values()),
-            }
-            for machine in sorted(model.machines.values(), key=lambda m: m.id)
-        ],
-        "storages": [
-            {"id": s.id, "owner": s.owner, "thing": s.thing}
-            for s in sorted(model.storages.values(), key=lambda s: s.id)
-        ],
-        "flows": sorted(
-            [e.src, e.dst, e.thing or ""] for e in model.flows.values()
-        ),
-        "triggers": sorted([t.src, t.dst] for t in model.triggers.values()),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """The model's structure digest; a frozen model keeps it after the first call."""
+    return model.digest()
 
 
 def import_json(text: str) -> ModelDocument:
@@ -340,7 +311,7 @@ def import_json(text: str) -> ModelDocument:
             )
             for entry in payload.get("behavior", [])
         )
-        return document_from_parts(model, regions, events, behavior, source="<json>")
+        return document_from_parts(model, regions, events, behavior)
     except ExportError:
         raise
     except Exception as exc:

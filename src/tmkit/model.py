@@ -29,10 +29,12 @@ adjacency table is the validator's job.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class ActionKind(Enum):
@@ -43,14 +45,8 @@ class ActionKind(Enum):
     RECEIVE = "receive"
 
 
-# Canonical emission order for stages inside a machine block.
-KIND_ORDER: tuple[ActionKind, ...] = (
-    ActionKind.CREATE,
-    ActionKind.PROCESS,
-    ActionKind.RELEASE,
-    ActionKind.TRANSFER,
-    ActionKind.RECEIVE,
-)
+# Canonical emission order for stages inside a machine block: the declaration order.
+KIND_ORDER: tuple[ActionKind, ...] = tuple(ActionKind)
 
 KIND_NAMES: frozenset[str] = frozenset(kind.value for kind in ActionKind)
 
@@ -160,7 +156,7 @@ class StaticModel:
         self.storages: dict[str, Storage] = {}
         self._incident: dict[str, list[FlowEdge | TriggerEdge]] = {}
         self._frozen = False
-        self._digest: str | None = None  # see cached_digest
+        self._digest: str | None = None  # see digest
 
     # -- construction -----------------------------------------------------
 
@@ -276,13 +272,35 @@ class StaticModel:
 
     # -- queries ----------------------------------------------------------
 
-    def cached_digest(self, compute: Callable[[StaticModel], str]) -> str:
-        """The model's content digest, compute(self). A frozen model cannot
-        change, so its digest is computed once and kept; an unfrozen one is
-        digested anew on every call."""
+    def digest(self) -> str:
+        """Content digest over the structure only. Flow and trigger ids reflect
+        declaration order, so they are left out: two models that draw the same
+        diagram hash alike no matter how their sources were arranged. A frozen
+        model cannot change, so its digest is computed once and kept; an
+        unfrozen one is digested anew on every call."""
         if self._digest is not None:
             return self._digest
-        digest = compute(self)
+        payload = {
+            "machines": [
+                {
+                    "id": machine.id,
+                    "name": machine.name,
+                    "parent": machine.parent,
+                    "children": sorted(machine.children.values()),
+                    "stages": sorted(machine.stages.values()),
+                    "storages": sorted(machine.storages.values()),
+                }
+                for machine in sorted(self.machines.values(), key=lambda m: m.id)
+            ],
+            "storages": [
+                {"id": s.id, "owner": s.owner, "thing": s.thing}
+                for s in sorted(self.storages.values(), key=lambda s: s.id)
+            ],
+            "flows": sorted([e.src, e.dst, e.thing or ""] for e in self.flows.values()),
+            "triggers": sorted([t.src, t.dst] for t in self.triggers.values()),
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         if self._frozen:
             self._digest = digest
         return digest

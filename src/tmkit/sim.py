@@ -12,17 +12,19 @@ Lifecycle of an event instance:
 
 One tick function, _tick, carries these semantics, and one state, SimState,
 is what it advances in place: the live entries (event -> the fields of its
-live instance), a due-tick calendar (tick -> events that may complete at it;
-the entry of an instance archived early is skipped when its tick comes), the
-per-event generation counts, the policy's rng state and script position, and
-the terminal flag. _tick builds an EventInstance only when it archives one;
-state.live builds the live ones on read. init() returns such a state. step()
-is pure: it advances a copy, with its own dicts and calendar lists, and never
-mutates its input. run() advances the state init() made, with no new state
-per tick. A tick for which the calendar holds nothing costs one dict pop. A
-tick that archives nothing starts nothing either, so run() then hands on the
-previous live tuple: ticks[i].live may be the very tuple object of
-ticks[i-1].live.
+live instance), the per-event generation counts, the policy's cursor (the rng
+state under SeededRandom, the next script index under Scripted, 0 under
+FirstDeclared) and the terminal flag. The due-tick calendar (tick -> events
+that may complete at it) is not passed in: a state builds it from its
+entries, each at start + duration, and _tick adds each start to it; the entry
+of an instance archived early is skipped when its tick comes. _tick builds an
+EventInstance only when it archives one; state.live builds the live ones on
+read. init() returns such a state. step() is pure: it advances a copy, with
+its own dicts and calendar, and never mutates its input. run() advances the
+state init() made, with no new state per tick. A tick for which the calendar
+holds nothing costs one dict pop. A tick that archives nothing starts nothing
+either, so run() then hands on the previous live tuple: ticks[i].live may be
+the very tuple object of ticks[i-1].live.
 
 The record is a tuple of archived instances in record order, (end, event,
 generation). step() returns a state with a longer tuple and never changes the
@@ -60,9 +62,7 @@ a terminal event ever completed, else "deadlock"), the horizon tick is reached
 """
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -139,17 +139,22 @@ ChoicePolicy = FirstDeclared | SeededRandom | Scripted
 @dataclass(slots=True)
 class SimState:
     """One instant of a run, the state that _tick advances in place. step()
-    advances a copy; run() advances the one init() made."""
+    advances a copy; run() advances the one init() made. The calendar is
+    built from the entries, not passed in."""
 
     tick: int
     entries: dict[str, tuple[str, str, int, int, int]]  # event -> its live instance: EventInstance's fields but end
-    calendar: dict[int, list[str]]  # tick -> events that may complete at it
+    calendar: dict[int, list[str]] = field(init=False)  # tick -> events that may complete at it
     record: tuple[EventInstance, ...]  # archived instances, in record order
     generations: dict[str, int]  # instances ever created, per event
-    rng_state: int
-    script_pos: int
+    cursor: int  # the policy's position: rng state, next script index, or 0
     terminal_hit: bool
     choices: tuple[tuple[str, str], ...]  # (group id, chosen) taken this tick
+
+    def __post_init__(self) -> None:
+        self.calendar = {}
+        for _, event, _, start, duration in self.entries.values():
+            self.calendar.setdefault(start + duration, []).append(event)
 
     @property
     def live(self) -> dict[str, EventInstance]:
@@ -175,28 +180,23 @@ class SimTrace:
     record: tuple[EventInstance, ...]
 
 
-def _choose(
-    policy: ChoicePolicy,
-    group: Group,
-    rng_state: int,
-    script_pos: int,
-) -> tuple[str, int, int]:
+def _choose(policy: ChoicePolicy, group: Group, cursor: int) -> tuple[str, int]:
     members = group.members
     if isinstance(policy, FirstDeclared):
-        return members[0], rng_state, script_pos
+        return members[0], cursor
     if isinstance(policy, SeededRandom):
-        rng_state = (LCG_MULTIPLIER * rng_state + LCG_INCREMENT) % LCG_MODULUS
-        return members[rng_state % len(members)], rng_state, script_pos
-    if script_pos >= len(policy.script):
+        cursor = (LCG_MULTIPLIER * cursor + LCG_INCREMENT) % LCG_MODULUS
+        return members[cursor % len(members)], cursor
+    if cursor >= len(policy.script):
         raise ScriptedExhaustedError(
             f"script exhausted at choice {group.group_id} among {members}"
         )
-    chosen = policy.script[script_pos]
+    chosen = policy.script[cursor]
     if chosen not in members:
         raise SimulationError(
             f"scripted choice {chosen!r} is not a member of {group.group_id} {members}"
         )
-    return chosen, rng_state, script_pos + 1
+    return chosen, cursor + 1
 
 
 _EVENT = attrgetter("event")
@@ -213,23 +213,21 @@ def _start(state: SimState, event: str, duration: int) -> None:
 
 def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
     """Tick 0: instantiate the initial events; start groups resolve here."""
-    rng_state = policy.seed % LCG_MODULUS if isinstance(policy, SeededRandom) else 0
-    script_pos = 0
+    cursor = policy.seed % LCG_MODULUS if isinstance(policy, SeededRandom) else 0
     choices: list[tuple[str, str]] = []
     to_start: list[str] = []
     grouped: set[str] = set()
     for group in behavior.start_groups():
         grouped.update(group.members)
-    for group in behavior.start_groups():
         if group.kind is BehaviorEdgeKind.CHOICE:
-            chosen, rng_state, script_pos = _choose(policy, group, rng_state, script_pos)
+            chosen, cursor = _choose(policy, group, cursor)
             choices.append((group.group_id, chosen))
             to_start.append(chosen)
         else:
             to_start.extend(group.members)
     to_start.extend(sorted(name for name in behavior.initial if name not in grouped))
 
-    state = SimState(0, {}, {}, (), {}, rng_state, script_pos, False, tuple(choices))
+    state = SimState(0, {}, (), {}, cursor, False, tuple(choices))
     for name in to_start:
         if name not in state.entries:
             _start(state, name, behavior._durations[name])
@@ -259,13 +257,13 @@ def _tick(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> lis
     # Gather instantiation requests in deterministic order.
     actions = behavior._actions
     generations = state.generations
-    rng_state, script_pos = state.rng_state, state.script_pos
+    cursor = state.cursor
     choices: list[tuple[str, str]] = []
     requests: list[tuple[str, bool]] = []  # (event, via repeat)
     for event in completed:
         for kind, target, arg in actions.get(event, ()):
             if kind == "choice":
-                chosen, rng_state, script_pos = _choose(policy, arg, rng_state, script_pos)
+                chosen, cursor = _choose(policy, arg, cursor)
                 choices.append((arg.group_id, chosen))
                 requests.append((chosen, False))
             elif kind != "repeat":  # sequence, concurrent
@@ -276,7 +274,7 @@ def _tick(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> lis
                 continue  # race resolved: a terminal event has completed
             else:
                 requests.append((target, True))
-    state.rng_state, state.script_pos, state.choices = rng_state, script_pos, tuple(choices)
+    state.cursor, state.choices = cursor, tuple(choices)
 
     durations = behavior._durations
     predecessors = behavior._predecessors
@@ -308,12 +306,7 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
     """Advance one tick: complete, fire successors, cut off, archive."""
     if not state.entries:
         raise SimulationError("nothing is live; the run has ended")
-    after = replace(
-        state,
-        entries=dict(state.entries),
-        calendar={tick: list(due) for tick, due in state.calendar.items()},
-        generations=dict(state.generations),
-    )
+    after = replace(state, entries=dict(state.entries), generations=dict(state.generations))
     after.record += tuple(_tick(after, behavior, policy))
     return after
 
@@ -407,30 +400,4 @@ def race_report(behavior: BehaviorGraph, trace: SimTrace, stream_a: str, stream_
 def behavior_digest(behavior: BehaviorGraph) -> str:
     """Stable content hash of a behavior graph (events, regions, edges),
     computed once per graph and kept on it."""
-    return behavior.cached_digest(_graph_digest)
-
-
-def _graph_digest(behavior: BehaviorGraph) -> str:
-    payload = {
-        "events": [
-            {
-                "name": name,
-                "duration": behavior.events[name].duration,
-                "label": behavior.events[name].label,
-                "stages": sorted(behavior.events[name].region.stages),
-            }
-            for name in sorted(behavior.events)
-        ],
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "kind": e.kind.value,
-                "group": e.group,
-                "bound": e.bound,
-            }
-            for e in behavior.edges
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return behavior.digest()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from tmkit.diagnostics import Diagnostic, make
+from tmkit.diagnostics import Diagnostic
 from tmkit.model import ActionKind, FlowEdge, Region, StaticModel
 
 Triple = tuple[ActionKind, ActionKind, bool]  # (from kind, to kind, same machine?)
@@ -110,7 +110,7 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
         if not table.allows(src.kind, dst.kind, same):
             rule = "is not allowed within a machine" if same else "may not cross machines"
             message = f"flow {edge.src} -> {edge.dst}: {src.kind.value}->{dst.kind.value} {rule}"
-            found.append(make("F1" if same else "F2", message, subject=edge.id))
+            found.append(Diagnostic("F1" if same else "F2", message, subject=edge.id))
 
     # T1: trigger that never leaves one flow series of one machine.
     components = _flow_components(model)
@@ -119,7 +119,7 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
         dst_owner = model.stages[trig.dst].owner
         if src_owner == dst_owner and components[trig.src] == components[trig.dst]:
             found.append(
-                make(
+                Diagnostic(
                     "T1",
                     "trigger connects stages already joined by one flow series",
                     subject=trig.id,
@@ -132,12 +132,12 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
             continue
         if ActionKind.CREATE in machine.stages or machine.id in inbound:
             continue
-        found.append(make("M1", "machine is unreachable: nothing is created or received", subject=machine.id))
+        found.append(Diagnostic("M1", "machine is unreachable: nothing is created or received", subject=machine.id))
 
     # M2: release stages that never hand off to a transfer.
     for stage in model.stages.values():
         if stage.kind is ActionKind.RELEASE and stage.id not in handed_off:
-            found.append(make("M2", "release has no outgoing flow to a transfer", subject=stage.id))
+            found.append(Diagnostic("M2", "release has no outgoing flow to a transfer", subject=stage.id))
 
     return _sorted(found)
 
@@ -153,11 +153,11 @@ def check_region(
     members = set(stage_ids)
     found: list[Diagnostic] = []
     if not members:
-        return [make("R1", "region has no stages", subject=subject)]
+        return [Diagnostic("R1", "region has no stages", subject=subject)]
     if region is None:
         region = model.subdiagram(members)
     if not region.connected:
-        found.append(make("R2", "region is not weakly connected", subject=subject))
+        found.append(Diagnostic("R2", "region is not weakly connected", subject=subject))
     # A split move has exactly one endpoint inside, so it is among the flows
     # incident to the members, and is met once, from that endpoint.
     stages = model.stages
@@ -168,7 +168,7 @@ def check_region(
             src, dst = stages.get(edge.src), stages.get(edge.dst)  # None for a storage
             if src and dst and src.kind is ActionKind.TRANSFER and dst.kind is ActionKind.RECEIVE:
                 found.append(
-                    make(
+                    Diagnostic(
                         "R3",
                         f"region splits the atomic move {edge.src} -> {edge.dst}",
                         subject=subject,

@@ -153,7 +153,7 @@ def make_random_document(rng: random.Random, max_machines: int = 8, min_machines
             source = rng.choice((None, rng.choice(names)))
             targets = tuple(rng.sample(names, rng.randint(2, min(3, len(names)))))
             decls.append(BehaviorDecl(kind, source, targets))
-    return document_from_parts(model, regions, events, tuple(decls), source="<generated>")
+    return document_from_parts(model, regions, events, tuple(decls))
 
 
 def make_random_behavior(

@@ -75,14 +75,24 @@ MUTANTS = (
         "",
     ),
     (
-        "step copies the calendar shallowly",
-        "        calendar={tick: list(due) for tick, due in state.calendar.items()},\n",
-        "        calendar=dict(state.calendar),\n",
+        "step shares entries",
+        "entries=dict(state.entries), ",
+        "entries=state.entries, ",
     ),
     (
-        "step shares entries",
-        "        entries=dict(state.entries),\n",
-        "        entries=state.entries,\n",
+        "step shares generations",
+        "generations=dict(state.generations))",
+        "generations=state.generations)",
+    ),
+    (
+        "the derived calendar falls due a tick late",
+        "self.calendar.setdefault(start + duration, [])",
+        "self.calendar.setdefault(start + duration + 1, [])",
+    ),
+    (
+        "__post_init__ skips the entries",
+        "        for _, event, _, start, duration in self.entries.values():\n",
+        "        for _, event, _, start, duration in ():\n",
     ),
     (
         "an idle tick keeps the last tick's choices",

@@ -25,7 +25,7 @@ from tmkit import (
     SimTrace,
     StaticModel,
 )
-from tmkit.diagnostics import SourceSpan, make
+from tmkit.diagnostics import Diagnostic, SourceSpan
 from tmkit.dsl import MAX_DIAGNOSTICS, ModelDocument
 from tmkit.model import KIND_NAMES, ROOT_ID, ROOT_NAME
 
@@ -441,6 +441,40 @@ def choice_violations(graph: BehaviorGraph, trace: SimTrace) -> list[str]:
     return problems
 
 
+def terminal_stop_violations(graph: BehaviorGraph, trace: SimTrace) -> list[str]:
+    """From the first tick at which a terminal event (one no edge leaves)
+    completes, an unbounded repeat requests nothing: an instance started then,
+    whose only request was such a repeat, must not be there. Another edge into
+    its event whose source completed at that tick, or a choice of its event at
+    that tick, accounts for a start."""
+    spans = lifespans(trace)
+    completed: dict[int, set[str]] = {}
+    for span in spans.values():
+        if span.end is not None and span.end == span.start + graph.events[span.event].duration:
+            completed.setdefault(span.end, set()).add(span.event)
+    sources = {edge.source for edge in graph.edges}
+    stop = min((tick for tick, done in completed.items() if done - sources), default=None)
+    if stop is None:
+        return []
+    chosen = {(snap.tick, event) for snap in trace.ticks for _, event in snap.choices}
+    problems: list[str] = []
+    for span in spans.values():
+        if span.start < stop or (span.start, span.event) in chosen:
+            continue
+        done = completed.get(span.start, set())
+        requests = [
+            edge.kind is BehaviorEdgeKind.REPEAT and edge.bound is None
+            for edge in graph.edges
+            if edge.target == span.event and edge.source in done and edge.kind is not BehaviorEdgeKind.CHOICE
+        ]
+        if requests and all(requests):
+            problems.append(
+                f"{span.iid} started at {span.start} by an unbounded repeat, "
+                f"after a terminal event completed at {stop}"
+            )
+    return problems
+
+
 def policy_violations(trace: SimTrace, graph: BehaviorGraph, policy) -> list[str]:
     """Every choice taken, in tick and then in-tick order, is the policy's:
     the first member, the stated LCG's pick from the seed, or the script's
@@ -517,7 +551,7 @@ def reference_lex(text: str, source: str = "<input>") -> tuple[list[Token], list
 
     def err(message: str, start: int, end: int, at_line: int, at_col: int) -> None:
         if len(diags) < MAX_DIAGNOSTICS:
-            diags.append(make("P1", message, SourceSpan(source, start, end, at_line, at_col)))
+            diags.append(Diagnostic("P1", message, SourceSpan(source, start, end, at_line, at_col)))
 
     while i < n:
         ch = text[i]

@@ -323,7 +323,7 @@ def test_import_rejects_wrong_or_broken_payloads(corpus):
 def test_export_json_requires_frozen_model():
     model = tmkit.StaticModel()
     model.add_machine("m")
-    document = tmkit.ModelDocument(model, {}, {}, (), {}, "<test>")
+    document = tmkit.ModelDocument(model, {}, {}, (), {})
     with pytest.raises(ExportError):
         model_to_json(document)
 

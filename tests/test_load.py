@@ -10,6 +10,7 @@ import pytest
 
 from tmkit import (
     CATALOGUE,
+    Diagnostic,
     build_from_document,
     corpus_names,
     corpus_text,
@@ -91,6 +92,15 @@ def test_every_catalogued_code_is_emitted_with_a_span(code):
     loaded = load(EMITTERS[code], source="m.tm")
     assert code in {d.code for d in loaded.diagnostics}
     assert all(d.span is not None and d.span.file == "m.tm" for d in loaded.diagnostics)
+
+
+def test_a_diagnostic_takes_its_severity_from_the_catalogue():
+    for info in CATALOGUE:
+        finding = Diagnostic(info.code, "message")
+        assert finding.severity is info.severity
+        assert finding.render() == f"{info.severity.value} {info.code}: message"
+    with pytest.raises(KeyError):
+        Diagnostic("Z9", "not catalogued")
 
 
 def test_load_stops_after_the_first_stage_with_errors():

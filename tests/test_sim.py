@@ -317,6 +317,17 @@ def test_step_is_pure():
     assert state == frozen  # every field: calendar lists, entries, generations, record
 
 
+def test_state_built_from_its_fields_completes_on_time():
+    graph = graph_of([("A", 2)], [])
+    state = SimState(0, {"A": ("A#1", "A", 1, 0, 2)}, (), {"A": 1}, 0, False, ())
+    assert state.calendar == {2: ["A"]}  # derived from the entry: start + duration
+    once = step(state, graph, FirstDeclared())
+    assert once.record == () and once.entries == state.entries
+    twice = step(once, graph, FirstDeclared())
+    assert twice.record == (EventInstance("A#1", "A", 1, 0, 2, 2),)
+    assert twice.entries == {} and twice.calendar == {}
+
+
 def advance(state, graph, policy, ticks):
     for _ in range(ticks):
         if not state.live:
@@ -430,11 +441,9 @@ def assert_step_folds_to_run(seed, horizon, policy_kind):
     copy = SimState(
         state.tick,
         dict(state.entries),
-        {tick: list(due) for tick, due in state.calendar.items()},
         tuple(state.record),
         dict(state.generations),
-        state.rng_state,
-        state.script_pos,
+        state.cursor,
         state.terminal_hit,
         state.choices,
     )

@@ -29,6 +29,7 @@ def violations(graph, trace, policy) -> list[str]:
         *oracles.repetition_violations(trace),
         *oracles.duration_violations(graph, trace),
         *oracles.choice_violations(graph, trace),
+        *oracles.terminal_stop_violations(graph, trace),
         *oracles.policy_violations(trace, graph, policy),
     ]
 
@@ -139,6 +140,33 @@ def test_choice_oracle_checks_start_groups():
     assert oracles.choice_violations(pick, trace) == []
     unresolved = replace(trace.ticks[0], choices=())
     assert oracles.choice_violations(pick, replace(trace, ticks=(unresolved, *trace.ticks[1:])))
+
+
+def test_terminal_stop_oracle_rejects_a_repeat_after_the_terminal_event():
+    graph = graph_of(
+        [("T", 2), ("F", 1)],
+        [BehaviorDecl("concurrent", None, ("T", "F")), BehaviorDecl("repeat", "F", ("F",))],
+    )
+    trace = run(graph, FirstDeclared(), horizon=10)
+    assert [snap.live for snap in trace.ticks] == [("F#1", "T#1"), ("F#2", "T#1"), ()]
+    assert oracles.terminal_stop_violations(graph, trace) == []
+    # T#1 completes at tick 2, and so does F#2: its repeat must not start F#3.
+    ticks = list(trace.ticks)
+    ticks[2] = replace(ticks[2], live=("F#3",))
+    assert oracles.terminal_stop_violations(graph, replace(trace, ticks=tuple(ticks)))
+    # A sequence edge whose source completes then accounts for the start.
+    graph = graph_of(
+        [("T", 2), ("F", 1), ("X", 1), ("Y", 1)],
+        [
+            BehaviorDecl("concurrent", None, ("T", "F")),
+            BehaviorDecl("repeat", "F", ("F",)),
+            BehaviorDecl("seq", "Y", ("X",)),
+            BehaviorDecl("seq", "X", ("F",)),
+        ],
+    )
+    trace = run(graph, FirstDeclared(), horizon=10)
+    assert "F#3" in trace.ticks[2].live
+    assert oracles.terminal_stop_violations(graph, trace) == []
 
 
 def test_policy_oracle_rejects_choices_the_policy_would_not_make():
