@@ -78,7 +78,7 @@ from tmkit.sim import (
     run,
     step,
 )
-from tmkit.validate import DEFAULT_TABLE, FlowAdjacencyTable, check_model, check_region
+from tmkit.validate import check_model, check_region
 
 __version__ = "0.1.0"
 
@@ -117,7 +117,6 @@ __all__ = [
     "BehaviorGraph",
     "CATALOGUE",
     "CoverageReport",
-    "DEFAULT_TABLE",
     "Diagnostic",
     "DuplicateEntityError",
     "Event",
@@ -125,7 +124,6 @@ __all__ = [
     "EventInstance",
     "ExportError",
     "FirstDeclared",
-    "FlowAdjacencyTable",
     "FrozenModelError",
     "InvalidNameError",
     "MODEL_SCHEMA",

@@ -8,9 +8,10 @@ taken), and Repeat (the next generation of the target replaces the previous
 one, optionally bounded).
 
 Initial events are those with no inbound sequence/choice/concurrent edge from
-a source event; choice/concurrent statements written without a source describe
-how the initial events start. Terminal events have no outbound edges at all:
-an event that only repeats is not terminal.
+a source event. Choice/concurrent statements written without a source have the
+start as their source: a source-less event whose completion fires at tick 0 and
+also starts every initial event that no such statement names. Terminal events
+have no outbound edges at all: an event that only repeats is not terminal.
 
 `define_event`, `build_behavior` and `eventize` return their faults as
 diagnostics, never as exceptions: `define_event` the P5 (duration) and
@@ -78,27 +79,29 @@ class BehaviorGraph:
     (event -> duration) and `_actions` (event -> what its completion does, one
     `(kind, target, arg)` per outbound edge in declaration order, where kind is
     the edge kind's value and arg the repeat bound; a choice group is one
-    action, `("choice", None, group)`, at the place of its first edge)."""
+    action, `("choice", None, group)`, at the place of its first edge). The
+    key None is the start, which completes at tick 0: its actions are those
+    of the start groups' edges, then one sequence action per initial event
+    that no start group names, in name order."""
 
     events: dict[str, Event]
     edges: tuple[BehaviorEdge, ...]
     groups: tuple[Group, ...]
     initial: frozenset[str] = field(init=False)
     terminal: frozenset[str] = field(init=False)
-    _out_edges: dict[str, tuple[BehaviorEdge, ...]] = field(init=False, repr=False, compare=False)
+    _out_edges: dict[str | None, tuple[BehaviorEdge, ...]] = field(init=False, repr=False, compare=False)
     _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _durations: dict[str, int] = field(init=False, repr=False, compare=False)
-    _actions: dict[str, tuple[_Action, ...]] = field(init=False, repr=False, compare=False)
+    _actions: dict[str | None, tuple[_Action, ...]] = field(init=False, repr=False, compare=False)
     _digest: str | None = field(init=False, default=None, repr=False, compare=False)  # see digest
 
     def __post_init__(self) -> None:
-        out: dict[str, list[BehaviorEdge]] = {}
+        out: dict[str | None, list[BehaviorEdge]] = {}
         preds: dict[str, set[str]] = {}
         for edge in self.edges:
-            if edge.source is not None:
-                out.setdefault(edge.source, []).append(edge)
-                if edge.kind is not BehaviorEdgeKind.REPEAT:
-                    preds.setdefault(edge.target, set()).add(edge.source)
+            out.setdefault(edge.source, []).append(edge)
+            if edge.source is not None and edge.kind is not BehaviorEdgeKind.REPEAT:
+                preds.setdefault(edge.target, set()).add(edge.source)
         self._out_edges = {name: tuple(found) for name, found in out.items()}
         self._predecessors = {name: tuple(sorted(found)) for name, found in preds.items()}
         self._durations = {name: event.duration for name, event in self.events.items()}
@@ -116,6 +119,8 @@ class BehaviorGraph:
             self._actions[name] = tuple(actions)
         self.initial = frozenset(name for name in self.events if name not in preds)
         self.terminal = frozenset(name for name in self.events if name not in out)
+        ungrouped = sorted(self.initial.difference(edge.target for edge in out.get(None, ())))
+        self._actions[None] = self._actions.get(None, ()) + tuple(("sequence", name, None) for name in ungrouped)
 
     def digest(self) -> str:
         """The graph's content digest (events, regions, edges), computed on
@@ -141,8 +146,9 @@ class BehaviorGraph:
             self._digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         return self._digest
 
-    def out_edges(self, event: str) -> tuple[BehaviorEdge, ...]:
-        """Edges leaving `event`, in declaration order."""
+    def out_edges(self, event: str | None) -> tuple[BehaviorEdge, ...]:
+        """Edges leaving `event`, in declaration order; for None, the edges
+        of the start groups."""
         return self._out_edges.get(event, ())
 
     def predecessors(self, event: str) -> frozenset[str]:

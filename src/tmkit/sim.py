@@ -10,21 +10,24 @@ Lifecycle of an event instance:
   * an instance is also archived early, mid-processing, when a successor
     event's receive erupts: its end is the successor's receive tick (cutoff).
 
-One tick function, _tick, carries these semantics, and one state, SimState,
-is what it advances in place: the live entries (event -> the fields of its
-live instance), the per-event generation counts, the policy's cursor (the rng
-state under SeededRandom, the next script index under Scripted, 0 under
-FirstDeclared) and the terminal flag. The due-tick calendar (tick -> events
-that may complete at it) is not passed in: a state builds it from its
-entries, each at start + duration, and _tick adds each start to it; the entry
-of an instance archived early is skipped when its tick comes. _tick builds an
-EventInstance only when it archives one; state.live builds the live ones on
-read. init() returns such a state. step() is pure: it advances a copy, with
-its own dicts and calendar, and never mutates its input. run() advances the
-state init() made, with no new state per tick. A tick for which the calendar
-holds nothing costs one dict pop. A tick that archives nothing starts nothing
-either, so run() then hands on the previous live tuple: ticks[i].live may be
-the very tuple object of ticks[i-1].live.
+One tick function, _tick, carries these semantics, and one state, SimState, is
+what it advances in place: the live entries (event -> the fields of its live
+instance), the per-event generation counts, the policy's cursor (the rng state
+under SeededRandom, the next script index under Scripted, 0 under
+FirstDeclared) and the terminal flag. _tick completes what falls due, and
+_fire makes every choice and start. Tick 0 is the completion of the start, the
+source-less event whose actions are BehaviorGraph._actions[None]: init() is
+the empty tick-0 state plus one _fire of the start. The due-tick calendar
+(tick -> events that may complete at it) is not passed in: a state builds it
+from its entries, each at start + duration, and _fire adds each start to it;
+the entry of an instance archived early is skipped when its tick comes. _tick
+builds an EventInstance only when it archives one; state.live builds the live
+ones on read. step() is pure: it advances a copy, with its own dicts and
+calendar, and never mutates its input. run() advances the state init() made,
+with no new state per tick. A tick for which the calendar holds nothing costs
+one dict pop. A tick that archives nothing starts nothing either, so run()
+then hands on the previous live tuple: ticks[i].live may be the very tuple
+object of ticks[i-1].live.
 
 The record is a tuple of archived instances in record order, (end, event,
 generation). step() returns a state with a longer tuple and never changes the
@@ -81,6 +84,12 @@ class ScriptedExhaustedError(SimulationError):
     pass
 
 
+def _check_int(what: str, value: object) -> None:
+    """ValueError unless `value` is an int and not a bool: a trace holds it as a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 class _InstanceFields(NamedTuple):
     iid: str  # "<event>#<generation>"
     event: str
@@ -120,6 +129,9 @@ class FirstDeclared:
 @dataclass(frozen=True, slots=True)
 class SeededRandom:
     seed: int
+
+    def __post_init__(self) -> None:
+        _check_int("seed", self.seed)
 
     def describe(self) -> str:
         return "random"
@@ -203,34 +215,11 @@ _EVENT = attrgetter("event")
 _IID = attrgetter("iid")
 
 
-def _start(state: SimState, event: str, duration: int) -> None:
-    """Make the next generation of `event` live at state.tick."""
-    generation = state.generations.get(event, 0) + 1
-    state.generations[event] = generation
-    state.entries[event] = (f"{event}#{generation}", event, generation, state.tick, duration)
-    state.calendar.setdefault(state.tick + duration, []).append(event)
-
-
 def init(behavior: BehaviorGraph, policy: ChoicePolicy) -> SimState:
-    """Tick 0: instantiate the initial events; start groups resolve here."""
+    """Tick 0: the start completes, and its actions fire as a completion's do."""
     cursor = policy.seed % LCG_MODULUS if isinstance(policy, SeededRandom) else 0
-    choices: list[tuple[str, str]] = []
-    to_start: list[str] = []
-    grouped: set[str] = set()
-    for group in behavior.start_groups():
-        grouped.update(group.members)
-        if group.kind is BehaviorEdgeKind.CHOICE:
-            chosen, cursor = _choose(policy, group, cursor)
-            choices.append((group.group_id, chosen))
-            to_start.append(chosen)
-        else:
-            to_start.extend(group.members)
-    to_start.extend(sorted(name for name in behavior.initial if name not in grouped))
-
-    state = SimState(0, {}, (), {}, cursor, False, tuple(choices))
-    for name in to_start:
-        if name not in state.entries:
-            _start(state, name, behavior._durations[name])
+    state = SimState(0, {}, (), {}, cursor, False, ())
+    _fire(state, behavior, policy, (None,), [])
     return state
 
 
@@ -252,15 +241,29 @@ def _tick(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> lis
         return completed
     completed.sort()
     archived = [EventInstance(*live.pop(event), t) for event in completed]
-    terminal_hit = state.terminal_hit = state.terminal_hit or not behavior.terminal.isdisjoint(completed)
+    state.terminal_hit = state.terminal_hit or not behavior.terminal.isdisjoint(completed)
+    _fire(state, behavior, policy, completed, archived)
+    archived.sort(key=_EVENT)  # an event is archived at most once per tick
+    return archived
 
+
+def _fire(
+    state: SimState,
+    behavior: BehaviorGraph,
+    policy: ChoicePolicy,
+    sources: Iterable[str | None],
+    archived: list[EventInstance],
+) -> None:
+    """Fire the actions of `sources`, in order, at state.tick: start each
+    requested event, replacing or cutting off as the rules say, and append
+    what that archives to `archived`. The source None is the start."""
     # Gather instantiation requests in deterministic order.
     actions = behavior._actions
     generations = state.generations
     cursor = state.cursor
     choices: list[tuple[str, str]] = []
     requests: list[tuple[str, bool]] = []  # (event, via repeat)
-    for event in completed:
+    for event in sources:
         for kind, target, arg in actions.get(event, ()):
             if kind == "choice":
                 chosen, cursor = _choose(policy, arg, cursor)
@@ -270,12 +273,14 @@ def _tick(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> lis
                 requests.append((target, False))
             elif arg is not None and generations.get(target, 0) >= arg:
                 continue  # bound exhausted: the stream ends
-            elif arg is None and terminal_hit:
+            elif arg is None and state.terminal_hit:
                 continue  # race resolved: a terminal event has completed
             else:
                 requests.append((target, True))
     state.cursor, state.choices = cursor, tuple(choices)
 
+    t = state.tick
+    live = state.entries
     durations = behavior._durations
     predecessors = behavior._predecessors
     for target, via_repeat in requests:
@@ -286,16 +291,16 @@ def _tick(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> lis
             # Repeat replaces: archive the previous generation at the new receive.
             del live[target]
             archived.append(EventInstance(*previous, t))
-        _start(state, target, durations[target])
+        generation = generations[target] = generations.get(target, 0) + 1
+        duration = durations[target]
+        live[target] = (f"{target}#{generation}", target, generation, t, duration)
+        state.calendar.setdefault(t + duration, []).append(target)
         # Cutoff: the new receive archives still-processing predecessors.
         for pred in predecessors.get(target, ()):
             old = live.get(pred)
             if old is not None and old[3] < t:
                 del live[pred]
                 archived.append(EventInstance(*old, t))
-
-    archived.sort(key=_EVENT)  # an event is archived at most once per tick
-    return archived
 
 
 def _live_ids(entries: dict[str, tuple[str, str, int, int, int]]) -> tuple[str, ...]:
@@ -312,9 +317,13 @@ def step(state: SimState, behavior: BehaviorGraph, policy: ChoicePolicy) -> SimS
 
 
 def run(behavior: BehaviorGraph, policy: ChoicePolicy, horizon: int, seed: int | None = None) -> SimTrace:
-    """Run to termination or horizon and return the full trace."""
+    """Run to termination or horizon and return the full trace. ValueError
+    unless the horizon is an int from 1 and the seed None or an int."""
+    _check_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if seed is not None:
+        _check_int("seed", seed)
     trace_seed = policy.seed if isinstance(policy, SeededRandom) else seed
     try:
         state = init(behavior, policy)

@@ -3,9 +3,9 @@
 Every rule reports through the closed diagnostic catalogue (`tmkit.load`
 spans each finding at its subject, region findings at their event):
 
-  F1  same-machine flow edge whose (from kind, to kind) pair is not in the table
-  F2  cross-machine flow edge not allowed by the table (defaults: only
-      transfer->transfer and transfer->receive may cross a machine boundary)
+  F1  same-machine flow edge whose (from kind, to kind) pair is not allowed
+  F2  cross-machine flow edge: only transfer->transfer and transfer->receive
+      may cross a machine boundary
   T1  trigger whose endpoints sit in one machine on one flow series (warning)
   M1  machine with stages but no entry: no create stage and no inbound
       cross-machine flow into its transfer/receive (warning)
@@ -16,46 +16,31 @@ spans each finding at its subject, region findings at their event):
       the atomic move must be wholly inside or wholly outside
 
 Structural impossibilities are errors and block simulation; stylistic findings
-are warnings. The flow adjacency table is a value and can be overridden per
-call; the default below is the single source of truth for flow legality.
+are warnings. The TM's five stages fix which flows are legal: _ALLOWED below
+is the single source of truth for flow legality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from tmkit.diagnostics import Diagnostic
 from tmkit.model import ActionKind, FlowEdge, Region, StaticModel
 
-Triple = tuple[ActionKind, ActionKind, bool]  # (from kind, to kind, same machine?)
-
-
-@dataclass(frozen=True, slots=True)
-class FlowAdjacencyTable:
-    """Set of permitted (from kind, to kind, same-machine?) flow triples."""
-
-    triples: frozenset[Triple]
-
-    def allows(self, src: ActionKind, dst: ActionKind, same_machine: bool) -> bool:
-        return (src, dst, same_machine) in self.triples
-
-
 _K = ActionKind
-DEFAULT_TABLE = FlowAdjacencyTable(
-    frozenset(
-        {
-            (_K.TRANSFER, _K.RECEIVE, True),
-            (_K.RECEIVE, _K.PROCESS, True),
-            (_K.RECEIVE, _K.RELEASE, True),
-            (_K.PROCESS, _K.RELEASE, True),
-            (_K.PROCESS, _K.CREATE, True),
-            (_K.CREATE, _K.RELEASE, True),
-            (_K.CREATE, _K.PROCESS, True),
-            (_K.RELEASE, _K.TRANSFER, True),
-            (_K.TRANSFER, _K.TRANSFER, False),
-            (_K.TRANSFER, _K.RECEIVE, False),
-        }
-    )
+# The permitted (from kind, to kind, same machine?) flow triples.
+_ALLOWED = frozenset(
+    {
+        (_K.TRANSFER, _K.RECEIVE, True),
+        (_K.RECEIVE, _K.PROCESS, True),
+        (_K.RECEIVE, _K.RELEASE, True),
+        (_K.PROCESS, _K.RELEASE, True),
+        (_K.PROCESS, _K.CREATE, True),
+        (_K.CREATE, _K.RELEASE, True),
+        (_K.CREATE, _K.PROCESS, True),
+        (_K.RELEASE, _K.TRANSFER, True),
+        (_K.TRANSFER, _K.TRANSFER, False),
+        (_K.TRANSFER, _K.RECEIVE, False),
+    }
 )
 
 
@@ -84,13 +69,13 @@ def _flow_components(model: StaticModel) -> dict[str, int]:
     return {node: find(position) for node, position in index.items()}
 
 
-def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -> list[Diagnostic]:
+def check_model(model: StaticModel) -> list[Diagnostic]:
     """Check every flow, trigger, and machine of the model. Pure; deterministic order."""
     found: list[Diagnostic] = []
     stages = model.stages
 
     # One pass over the flows. F1/F2: every stage-to-stage edge against the
-    # adjacency table; storage endpoints are exempt from it. M1: the machines
+    # allowed triples; storage endpoints are exempt from them. M1: the machines
     # that a flow from another machine's stage or storage enters at a transfer
     # or receive. M2: the stages with a flow to a transfer, in any machine.
     inbound: set[str] = set()
@@ -107,7 +92,7 @@ def check_model(model: StaticModel, table: FlowAdjacencyTable = DEFAULT_TABLE) -
         if dst.kind is _K.TRANSFER:
             handed_off.add(edge.src)
         same = src.owner == dst.owner
-        if not table.allows(src.kind, dst.kind, same):
+        if (src.kind, dst.kind, same) not in _ALLOWED:
             rule = "is not allowed within a machine" if same else "may not cross machines"
             message = f"flow {edge.src} -> {edge.dst}: {src.kind.value}->{dst.kind.value} {rule}"
             found.append(Diagnostic("F1" if same else "F2", message, subject=edge.id))

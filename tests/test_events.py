@@ -306,9 +306,10 @@ def test_eventize_end_to_end():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
 def test_indexes_equal_their_edge_scan_definitions(seed, max_events):
-    graph = make_random_behavior(random.Random(seed), max_events=max_events)
-    for name in graph.events:
+    graph = make_random_behavior(random.Random(seed), max_events=max_events, start_groups=True)
+    for name in (*graph.events, None):  # None: the start, whose edges are the start groups'
         assert graph.out_edges(name) == oracles.scan_out_edges(graph, name)
+    for name in graph.events:
         assert graph.predecessors(name) == oracles.scan_predecessors(graph, name)
         assert graph.reachable_events(name) == oracles.scan_reachable(graph, name)
     assert graph.out_edges("no such event") == ()

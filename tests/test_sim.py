@@ -292,6 +292,38 @@ def test_scripted_exhaustion_at_the_starting_line():
     assert trace.ticks == ()
 
 
+def test_tick_zero_starts_groups_then_ungrouped_initials_once_each():
+    # C is in the start choice, in the start fork and behind A; A is initial
+    # and in no group. Starts go in order: the choice's pick, the fork's
+    # members, then the ungrouped initial events; a second request is dropped.
+    graph = graph_of(
+        [("A", 3), ("B", 1), ("C", 2), ("D", 2)],
+        [
+            BehaviorDecl("choice", None, ("B", "C")),
+            BehaviorDecl("concurrent", None, ("C", "D")),
+            BehaviorDecl("seq", "A", ("C",)),
+        ],
+    )
+    assert graph.initial == {"A", "B", "D"}
+    seeded = (1664525 * 7 + 1013904223) % 2**32  # even: member 0, B
+    c_first = {"C": ("C#1", "C", 1, 0, 2), "D": ("D#1", "D", 1, 0, 2), "A": ("A#1", "A", 1, 0, 3)}
+    b_first = {"B": ("B#1", "B", 1, 0, 1), **c_first}
+    for policy, entries, calendar, chosen, cursor in (
+        (FirstDeclared(), b_first, [(1, ["B"]), (2, ["C", "D"]), (3, ["A"])], "B", 0),
+        (SeededRandom(7), b_first, [(1, ["B"]), (2, ["C", "D"]), (3, ["A"])], "B", seeded),
+        (Scripted(("C",)), c_first, [(2, ["C", "D"]), (3, ["A"])], "C", 1),
+    ):
+        state = init(graph, policy)
+        assert list(state.entries.items()) == list(entries.items())
+        assert list(state.calendar.items()) == calendar
+        assert state.choices == (("c1", chosen),)
+        assert state.cursor == cursor
+        assert state.generations == dict.fromkeys(entries, 1)
+        assert (state.tick, state.record, state.terminal_hit) == (0, (), False)
+    with pytest.raises(ScriptedExhaustedError):
+        init(graph, Scripted(()))
+
+
 # -- engine mechanics ----------------------------------------------------------
 
 
@@ -525,6 +557,20 @@ def test_run_validates_horizon():
     graph = graph_of([("A", 1)], [])
     with pytest.raises(ValueError):
         run(graph, FirstDeclared(), horizon=0)
+
+
+@pytest.mark.parametrize("value", [2.5, True, False, "3"])
+def test_a_horizon_or_seed_that_is_not_an_int_is_refused(value):
+    # The trace holds both as JSON integers, so anything else would break
+    # TRACE_SCHEMA, or the generator mid-run.
+    graph = graph_of([("A", 1)], [])
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        run(graph, FirstDeclared(), value)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run(graph, FirstDeclared(), 2, seed=value)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SeededRandom(value)
+    assert run(graph, SeededRandom(-3), 2, seed=None).seed == -3
 
 
 def test_state_presentism_self_check():

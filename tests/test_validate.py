@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from tmkit import (
     ActionKind,
-    DEFAULT_TABLE,
-    FlowAdjacencyTable,
     StaticModel,
     check_model,
     check_region,
@@ -78,17 +76,6 @@ def test_storage_attachments_are_exempt_from_flow_rules():
     model.add_flow("m0.release", "m0.transfer")
     model.freeze()
     assert codes(check_model(model)) == []
-
-
-def test_custom_table_overrides_default():
-    model = pipeline([C, T])
-    model.add_flow("m0.create", "m0.transfer")
-    model.freeze()
-    permissive = FlowAdjacencyTable(
-        DEFAULT_TABLE.triples | {(C, T, True)}
-    )
-    assert "F1" in codes(check_model(model))
-    assert "F1" not in codes(check_model(model, permissive))
 
 
 def test_d1_duplicate_stage_kind_is_unrepresentable_via_api():
